@@ -1,13 +1,14 @@
 GO ?= go
 
-.PHONY: check vet staticcheck build test race race-short bench bench-json checkpoint-resume scaling-smoke yield-smoke ssta-smoke cache-smoke daemon-smoke fmt
+.PHONY: check vet staticcheck build test race race-short flake-guard bench bench-json checkpoint-resume scaling-smoke yield-smoke ssta-smoke cache-smoke daemon-smoke fmt
 
 # Full CI gate: vet + staticcheck, build, race-enabled tests (full +
-# short modes), paper benchmarks, crash-safety kill/resume gate,
-# multi-core scaling smoke, importance-sampling yield gate, full-chip
-# SSTA gate, warm model-cache gate. Run before every merge (see README
-# "Failure policy" / pre-merge gate).
-check: vet staticcheck build race race-short bench checkpoint-resume scaling-smoke yield-smoke ssta-smoke cache-smoke daemon-smoke
+# short modes), the timer-race flake guard, paper benchmarks,
+# crash-safety kill/resume gate, multi-core scaling smoke,
+# importance-sampling yield gate, full-chip SSTA gate, warm model-cache
+# gate. Run before every merge (see README "Failure policy" / pre-merge
+# gate).
+check: vet staticcheck build race race-short flake-guard bench checkpoint-resume scaling-smoke yield-smoke ssta-smoke cache-smoke daemon-smoke
 
 vet:
 	$(GO) vet ./...
@@ -32,6 +33,13 @@ race:
 # spice-golden cross-engine sweeps, so it stays fast enough per-commit.
 race-short:
 	$(GO) test -race -short ./...
+
+# Timer-race gate: the watchdog, cancellation and timeout tests of core
+# and ssta plus the watchdog rows of the sweep policy matrix, 20 runs at
+# GOMAXPROCS 1, 2 and 4 (about 35 s on 2 CPUs). A race between a
+# deadline and an evaluation fails here, not in one full run in five.
+flake-guard:
+	$(GO) test -count=20 -cpu 1,2,4 -run 'Timeout|Cancel|Watchdog|TestSweepPolicies/.*/(cancel|timeout|hung-rung)' ./internal/core ./internal/ssta ./internal/job
 
 # One iteration of every paper table/figure benchmark (smoke, not timing).
 bench:

@@ -573,21 +573,17 @@ func BenchmarkExtractVsVar(b *testing.B) {
 // are per-sample, not per-core.
 func BenchmarkMCAllocs(b *testing.B) {
 	o := experiments.Ex2Options{Samples: 16}
-	fastSt, err := experiments.BuildExample2Stage(o, 40, false)
-	if err != nil {
-		b.Fatal(err)
-	}
-	exactSt, err := experiments.BuildExample2Stage(o, 40, true)
+	st, err := experiments.BuildExample2Stage(o, 40)
 	if err != nil {
 		b.Fatal(err)
 	}
 	specs := experiments.Example2Samples(o)
 	b.Run("varMacro", func(b *testing.B) {
-		sc := fastSt.NewScratch()
+		sc := st.NewScratch()
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if _, err := fastSt.RunWith(sc, specs[i%len(specs)]); err != nil {
+			if _, err := st.RunWith(sc, specs[i%len(specs)]); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -595,7 +591,7 @@ func BenchmarkMCAllocs(b *testing.B) {
 	b.Run("exactExtract", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if _, err := exactSt.Run(specs[i%len(specs)]); err != nil {
+			if _, err := st.RunExact(specs[i%len(specs)]); err != nil {
 				b.Fatal(err)
 			}
 		}

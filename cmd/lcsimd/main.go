@@ -195,10 +195,7 @@ func runStatus(args []string) {
 				total = n
 			}
 		}
-		cut := 0
-		if snap, _, err := checkpoint.Load(q.JournalPath(id), nil); err == nil {
-			cut = snap.Next
-		}
+		cut, _ := q.DurableCut(id)
 		line := fmt.Sprintf("%s  %-6s  driver=%-6s journal=%d/%d", id, st.Status, driver, cut, total)
 		if st.Attempts > 0 {
 			line += fmt.Sprintf("  attempts=%d", st.Attempts)
@@ -260,20 +257,27 @@ func runCmp(args []string) {
 		fail(fmt.Errorf("cmp needs exactly two result.json paths"))
 	}
 	a := readResult(fs.Arg(0))
-	b := readResult(fs.Arg(1))
+	fail(sameRun(fs.Arg(0), a, fs.Arg(1), readResult(fs.Arg(1))))
+	fmt.Printf("cmp: identical (%s, %s)\n", a.Driver, a.SpecHash)
+}
+
+// sameRun compares the statistical identity of two result envelopes —
+// driver, spec hash, summary and failure report — and describes the
+// first difference (nil when the runs are identical).
+func sameRun(nameA string, a *job.Result, nameB string, b *job.Result) error {
 	if a.Driver != b.Driver {
-		fail(fmt.Errorf("driver: %s vs %s", a.Driver, b.Driver))
+		return fmt.Errorf("driver: %s vs %s", a.Driver, b.Driver)
 	}
 	if a.SpecHash != b.SpecHash {
-		fail(fmt.Errorf("spec hash: %s vs %s", a.SpecHash, b.SpecHash))
+		return fmt.Errorf("spec hash: %s vs %s", a.SpecHash, b.SpecHash)
 	}
 	if ca, cb := canonical(a.Summary), canonical(b.Summary); ca != cb {
-		fail(fmt.Errorf("summary differs:\n%s: %s\n%s: %s", fs.Arg(0), ca, fs.Arg(1), cb))
+		return fmt.Errorf("summary differs:\n%s: %s\n%s: %s", nameA, ca, nameB, cb)
 	}
 	if ca, cb := canonical(a.Failures), canonical(b.Failures); ca != cb {
-		fail(fmt.Errorf("failure report differs:\n%s: %s\n%s: %s", fs.Arg(0), ca, fs.Arg(1), cb))
+		return fmt.Errorf("failure report differs:\n%s: %s\n%s: %s", nameA, ca, nameB, cb)
 	}
-	fmt.Printf("cmp: identical (%s, %s)\n", a.Driver, a.SpecHash)
+	return nil
 }
 
 func readResult(path string) *job.Result {

@@ -30,10 +30,26 @@
 //
 // Everything that describes how a statistical run executes — as opposed
 // to what it computes — lives in one embedded struct, core.RunConfig,
-// shared by MCConfig and SkewConfig: Seed, Workers, BatchSize, Engine,
-// Ladder, OnFailure, SampleTimeout, Checkpoint, Metrics, Progress. Field
-// promotion keeps call sites flat (cfg.Seed, cfg.Workers), and a policy
-// configured once can be reused across drivers verbatim.
+// shared by MCConfig, ISConfig, SkewConfig and ssta.Config: Seed,
+// Workers, BatchSize, Engine, Ladder, OnFailure, SampleTimeout,
+// Checkpoint, Metrics, Progress. Field promotion keeps call sites flat
+// (cfg.Seed, cfg.Workers), and a policy configured once can be reused
+// across drivers verbatim.
+//
+// # One sample sweep
+//
+// Every statistical driver — path MC, correlated MC, importance-sampled
+// yield (one call per adaptive round), skew, ssta.RunMC, the bench rows
+// and cross-engine validation — spends its samples through core.Sweep. A
+// driver supplies only what is its own: the primary core.Evaluator (a
+// per-worker scratch constructor and Eval(ctx, i, scratch)) and its
+// Degrade rungs, an ordered Deliver(i, v) plus optional per-worker
+// shards, and, when it journals, its checkpoint Fingerprint and payload
+// Save/Restore. It inherits everything else: RunConfig validation, the
+// OnFailure policy, the SampleTimeout watchdog with cancellation and
+// scratch retirement, skip accounting into the FailureReport and
+// runner.Metrics, and the journal's resume, flush cadence, final flush
+// and Checkpoint.Limit cut.
 //
 // Runs execute on the internal/runner worker pool: Workers = 0 means
 // serial, negative means GOMAXPROCS, positive is an exact count.
@@ -65,7 +81,7 @@
 // core.FailureClass, and core.SampleError carries the sample index plus
 // class through a run's error chain.
 //
-// MCConfig.OnFailure / SkewConfig.OnFailure select the run-level policy:
+// RunConfig.OnFailure selects the run-level policy:
 // FailFast (default) aborts with the lowest failing index's error; Skip
 // excludes failing samples from the aggregate statistics and reports them
 // in the result's FailureReport; Degrade retries each failure through the
@@ -74,19 +90,20 @@
 // skipping. Under every policy the skip-set, the FailureReport and the
 // statistics are bit-identical at any worker count.
 //
-// MCConfig.SampleTimeout / SkewConfig.SampleTimeout arm a per-sample
-// watchdog: an evaluation that exceeds the deadline is abandoned and
-// fails with core.ErrSampleTimeout (class FailTimeout), flowing through
-// the same policies — Degrade retries the next ladder rung under a fresh
+// RunConfig.SampleTimeout arms the per-sample watchdog: an evaluation
+// that exceeds the deadline is abandoned and fails with
+// core.ErrSampleTimeout (class FailTimeout), flowing through the same
+// policies — Degrade retries the next ladder rung under a fresh
 // deadline, Skip records the timeout and moves on, FailFast surfaces the
-// typed error. A single pathological sample can therefore never stall a
-// statistical sweep.
+// typed error. Canceling the context abandons a hung evaluation at once.
+// A single pathological sample can therefore never stall a statistical
+// sweep.
 //
 // # Crash-safe checkpoint/resume
 //
 // Long statistical runs can journal their progress durably
-// (internal/checkpoint): MCConfig.Checkpoint / SkewConfig.Checkpoint
-// point at a snapshot file that is rewritten atomically
+// (internal/checkpoint): RunConfig.Checkpoint points at a snapshot file
+// that is rewritten atomically
 // (write-to-temp + fsync + rename, previous generation kept as .bak)
 // every K samples or T wall-seconds, always at a prefix-consistent cut
 // of the ordered delivery stream. A killed run restarted with
@@ -97,8 +114,8 @@
 // sampler, engine/ladder, policy, source list) disagrees with the live
 // run is refused with checkpoint.ErrMismatch; a corrupt snapshot
 // (checkpoint.ErrCorruptCheckpoint, CRC-verified) falls back to the
-// .bak generation. The lcsim path/skew/bench subcommands expose
-// -checkpoint, -checkpoint-every, -resume and -sample-timeout.
+// .bak generation. The lcsim path/skew/yield/sta/bench subcommands
+// expose -checkpoint, -checkpoint-every, -resume and -sample-timeout.
 //
 // # Crash-only job daemon (lcsimd)
 //
@@ -113,7 +130,9 @@
 // resumes every journal, and the merged result is bit-identical to a
 // direct `lcsim run` of the same spec at any shard size. There is no
 // "running" state on disk: completion derives from the files that
-// exist, and a corrupt scheduling record self-heals to "queued".
+// exist, a corrupt scheduling record self-heals to "queued", and a
+// journal with no readable generation is dropped so the job restarts
+// from sample 0.
 //
 // internal/faultinj is the deterministic chaos layer behind the
 // daemon's tests: a seeded, budgeted fault schedule (torn writes,
@@ -151,7 +170,7 @@
 // canonical (mean, sensitivity, residual) arrival forms through the
 // block graph with Clark's statistical max at reconvergent fan-in.
 // ssta.Run is the analytical driver; ssta.RunMC is the brute-force
-// per-sample reference on the same graph, under the same RunConfig
+// per-sample reference on the same graph, run through core.Sweep
 // (policies, watchdog, checkpoint journal). "lcsim sta -ssta" is the
 // CLI surface; the ssta-smoke leg of `make check` gates SSTA-vs-MC
 // agreement on s27.

@@ -266,7 +266,7 @@ func Load(path string, m *runner.Metrics) (*Snapshot, bool, error) {
 		m.AddCheckpointBakLoad(1)
 		return bak, true, nil
 	}
-	return nil, false, fmt.Errorf("checkpoint: %s unusable (%v) and no good .bak (%v)", path, primaryErr, bakErr)
+	return nil, false, fmt.Errorf("%w: %s unusable (%v) and no good .bak (%v)", ErrCorruptCheckpoint, path, primaryErr, bakErr)
 }
 
 // loadOne reads one snapshot generation, verifying CRC and version.

@@ -131,8 +131,8 @@ func TestBothGenerationsCorrupt(t *testing.T) {
 		}
 	}
 	_, _, err := Load(path, nil)
-	if err == nil || !strings.Contains(err.Error(), "unusable") {
-		t.Fatalf("expected an unusable-checkpoint error, got %v", err)
+	if !errors.Is(err, ErrCorruptCheckpoint) {
+		t.Fatalf("expected an error wrapping ErrCorruptCheckpoint, got %v", err)
 	}
 }
 

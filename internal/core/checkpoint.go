@@ -2,7 +2,6 @@ package core
 
 import (
 	"encoding/binary"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"hash/fnv"
@@ -22,12 +21,12 @@ import (
 // real failure.
 var ErrPartial = errors.New("partial run: checkpoint limit reached")
 
-// This file is the glue between the statistical drivers and the durable
-// run journal (internal/checkpoint): config fingerprints, the
-// driver-specific snapshot payloads, and the shared save/restore
-// plumbing. The journal itself stores an opaque json.RawMessage; the
-// payload schemas live here so the checkpoint package stays independent
-// of the statistical layers.
+// This file holds the path drivers' side of the durable run journal
+// (internal/checkpoint): config fingerprints and the driver-specific
+// snapshot payloads. The Sweep does the saving and restoring; the
+// journal itself stores an opaque json.RawMessage, so the payload
+// schemas live here and the checkpoint package stays independent of the
+// statistical layers.
 
 // sourcesHash digests the variation-source groups for the config
 // fingerprint: a resumed run must use the exact same source list (names,
@@ -139,76 +138,4 @@ type skewPayload struct {
 	Skews    []float64       `json:"skews"`
 	Failures FailureReport   `json:"failures"`
 	Metrics  runner.Snapshot `json:"metrics"`
-}
-
-// resumeSnapshot loads, fingerprint-checks and decodes a snapshot for a
-// resuming run. The (nil, 0, nil) return means there is nothing to resume
-// — no snapshot on disk yet — and the run starts from sample 0, so
-// enabling Resume unconditionally is safe for first runs. state is
-// decoded into statePtr.
-func resumeSnapshot(ck *checkpoint.Config, fp checkpoint.Fingerprint, m *runner.Metrics, statePtr any) (start int, err error) {
-	snap, _, err := checkpoint.Load(ck.Path, m)
-	if err != nil {
-		if checkpoint.IsNotExist(err) {
-			return 0, nil
-		}
-		return 0, err
-	}
-	if err := fp.Check(snap.Fingerprint); err != nil {
-		return 0, fmt.Errorf("core: cannot resume %s: %w", ck.Path, err)
-	}
-	if err := json.Unmarshal(snap.State, statePtr); err != nil {
-		return 0, fmt.Errorf("core: %s: %w: state payload: %v", ck.Path, checkpoint.ErrCorruptCheckpoint, err)
-	}
-	return snap.Next, nil
-}
-
-// saveMetrics snapshots the cost counters for a checkpoint payload. The
-// Resumed counter is stripped: it describes what *this process* restored
-// rather than evaluated, and the next resume recomputes it from its own
-// prefix cut — persisting it would double-count across a chain of
-// resumes. Worker-side counters (SC iterations, solves) may include
-// in-flight samples beyond the cut; they are cost telemetry, not part of
-// the bit-identity contract.
-func saveMetrics(m *runner.Metrics) runner.Snapshot {
-	s := m.Snapshot()
-	s.Resumed = 0
-	return s
-}
-
-// restoreMetrics folds a snapshot payload's counters back into the live
-// metrics and records the restored prefix.
-func restoreMetrics(m *runner.Metrics, s runner.Snapshot, next int) {
-	m.Merge(s)
-	m.AddResumed(next)
-}
-
-// ckptWriter serializes one driver's periodic checkpoint flushes. payload
-// builds the driver state for a prefix cut; the first write error latches
-// (later flushes are skipped) and fails the run after the sweep returns —
-// a journal that silently stopped persisting is worse than a loud run
-// failure.
-type ckptWriter struct {
-	ck      *checkpoint.Config
-	fp      checkpoint.Fingerprint
-	m       *runner.Metrics
-	payload func(next int) any
-	err     error
-}
-
-// flush writes one snapshot at the prefix cut next. Called from the
-// runner's ordered-delivery goroutine (and once more after the sweep
-// completes), so the payload closure may read the driver's accumulators
-// without locking.
-func (w *ckptWriter) flush(next int) {
-	if w.err != nil {
-		return
-	}
-	body, err := json.Marshal(w.payload(next))
-	if err == nil {
-		err = checkpoint.Save(w.ck.Path, &checkpoint.Snapshot{Fingerprint: w.fp, Next: next, State: body}, w.m)
-	}
-	if err != nil {
-		w.err = err
-	}
 }

@@ -61,7 +61,7 @@ func (c *CorrelatedSources) RunSpecFromFactors(z []float64) (teta.RunSpec, error
 }
 
 // MonteCarloCorrelatedCtx runs path Monte-Carlo sampling in factor space
-// through the same sample kernel as MonteCarloCtx: the run honors the
+// through the same Sweep as MonteCarloCtx: the run honors the
 // full MCConfig — sampler plan, worker count, streaming vs KeepSamples,
 // engine selection, metrics and the OnFailure policy with its engine
 // ladder — and is bit-identical at any worker count.

@@ -18,13 +18,13 @@ import (
 var ErrWaveformNaN = errors.New("core: output waveform did not complete its transition")
 
 // ErrSampleTimeout reports a per-sample evaluation abandoned at the
-// MCConfig.SampleTimeout / SkewConfig.SampleTimeout watchdog deadline.
-// Engines are synchronous and cannot be preempted, so the evaluation
-// goroutine is left to finish (or hang) in the background; its scratch is
-// replaced and its eventual result discarded. The error flows through the
-// failure policies like any other per-sample fault: FailFast aborts,
-// Skip excludes the sample, Degrade retries the next ladder rung with a
-// fresh deadline.
+// RunConfig.SampleTimeout watchdog deadline of a Sweep. Engines are
+// synchronous and cannot be preempted, so the evaluation goroutine is
+// left to finish (or hang) in the background; its scratch is retired and
+// its eventual result discarded. The error flows through the failure
+// policies like any other per-sample fault: FailFast aborts, Skip
+// excludes the sample, Degrade retries the next ladder rung with a fresh
+// deadline.
 var ErrSampleTimeout = errors.New("core: sample evaluation exceeded its watchdog deadline")
 
 // FailureClass labels a per-sample failure cause for reporting and the
@@ -187,16 +187,11 @@ type FailureReport struct {
 // Any reports whether anything failed (skipped) or degraded.
 func (r *FailureReport) Any() bool { return r.Skipped > 0 || r.Degraded > 0 }
 
-// Record folds one skipped sample into the report. Call it in strict
-// index order (the runner's OnSkip contract), so FirstIndex/FirstErr are
-// the true minima and SkippedIndices stays sorted. Drivers outside this
-// package (internal/ssta) use it to build the same deterministic report.
-func (r *FailureReport) Record(index int, err error) { r.record(index, err) }
-
-// record folds one skipped sample into the report. Called in strict
-// index order (the runner's OnSkip contract), so FirstIndex/FirstErr are
-// the true minima and SkippedIndices stays sorted.
-func (r *FailureReport) record(index int, err error) {
+// record folds one skipped sample into the report and returns its
+// class. Called in strict index order (the runner's OnSkip contract),
+// so FirstIndex/FirstErr are the true minima and SkippedIndices stays
+// sorted.
+func (r *FailureReport) record(index int, err error) FailureClass {
 	r.Skipped++
 	r.SkippedIndices = append(r.SkippedIndices, index)
 	class := ClassOther
@@ -210,13 +205,14 @@ func (r *FailureReport) record(index int, err error) {
 	for i := range r.Classes {
 		if r.Classes[i].Class == class {
 			r.Classes[i].Count++
-			return
+			return class
 		}
 	}
 	r.Classes = append(r.Classes, FailureClassStats{
 		Class: class, Count: 1, FirstIndex: index, FirstErr: msg,
 	})
 	sort.Slice(r.Classes, func(i, j int) bool { return r.Classes[i].Class < r.Classes[j].Class })
+	return class
 }
 
 // Render draws the failure table printed by cmd/lcsim after a run with

@@ -10,8 +10,9 @@
 // # Statistical drivers
 //
 // All drivers share one execution policy (RunConfig: seed, workers,
-// failure policy, engine ladder, watchdog, checkpoint journal) and one
-// evaluation kernel, and all are bit-reproducible at any worker count:
+// failure policy, engine ladder, watchdog, checkpoint journal), the
+// sampling drivers spend their samples through one Sweep, and all are
+// bit-reproducible at any worker count:
 //
 //   - MonteCarloCtx: plain (or correlated/skew) Monte-Carlo sweeps with
 //     streaming summaries.

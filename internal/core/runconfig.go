@@ -9,11 +9,12 @@ import (
 	"lcsim/internal/teta"
 )
 
-// RunConfig is the execution-policy block shared by every statistical
-// driver (MCConfig, SkewConfig, and future SSTA/grid drivers embed it):
-// how samples are scheduled, which engine evaluates them, and how the
-// run survives failures and crashes. The statistical question itself
-// (sample count, sources, sampling plan) stays in the embedding config.
+// RunConfig is the execution policy of a Sweep, embedded by every
+// statistical driver's config (MCConfig, ISConfig, SkewConfig,
+// ssta.Config): how samples are scheduled, which engine evaluates them,
+// and how the run survives failures and crashes. The statistical
+// question itself (sample count, sources, sampling plan) stays in the
+// embedding config.
 //
 // Every knob here preserves the reproducibility contract: for a fixed
 // Seed the results are bit-identical at any Workers and BatchSize
@@ -103,16 +104,4 @@ func (c RunConfig) validate() error {
 		return fmt.Errorf("core: SampleTimeout must be >= 0, got %v", c.SampleTimeout)
 	}
 	return nil
-}
-
-// runnerOptions builds the runner.Options execution block (scheduling,
-// metrics, progress) for this config; the caller wires Start, OnSkip and
-// the checkpoint hooks.
-func (c RunConfig) runnerOptions() runner.Options {
-	return runner.Options{
-		Workers:   c.Workers,
-		BatchSize: c.BatchSize,
-		Metrics:   c.Metrics,
-		Progress:  c.Progress,
-	}
 }

@@ -2,7 +2,7 @@ package core
 
 import (
 	"context"
-	"errors"
+	"encoding/json"
 	"fmt"
 	"math"
 	"strings"
@@ -57,8 +57,7 @@ type SkewResult struct {
 
 // pairDelay carries both branch arrivals for one sample.
 type pairDelay struct {
-	a, b     float64
-	degraded bool
+	a, b float64
 }
 
 // MonteCarloSkewCtx samples the pair jointly on the parallel runtime:
@@ -70,9 +69,6 @@ func (pp *PathPair) MonteCarloSkewCtx(ctx context.Context, cfg SkewConfig) (*Ske
 	}
 	if cfg.N <= 0 {
 		return nil, fmt.Errorf("core: skew MC needs n > 0")
-	}
-	if err := cfg.validate(); err != nil {
-		return nil, err
 	}
 	for _, group := range [][]Source{pp.Shared, pp.IndependentA, pp.IndependentB} {
 		for _, s := range group {
@@ -94,44 +90,6 @@ func (pp *PathPair) MonteCarloSkewCtx(ctx context.Context, cfg SkewConfig) (*Ske
 	}
 	samples := stat.SamplePlan(cube, dists)
 
-	eA, err := pp.A.Engine(cfg.Engine)
-	if err != nil {
-		return nil, err
-	}
-	eB, err := pp.B.Engine(cfg.Engine)
-	if err != nil {
-		return nil, err
-	}
-	poolA, poolB := newScratchPool(eA), newScratchPool(eB)
-	// The Degrade ladder walks both branches in lockstep: rungs are paired
-	// by engine name so a recovered sample's arrivals come from the same
-	// backend. With default ladders an engine only one branch can build
-	// (e.g. spice-golden for a hand-assembled pair) drops out of the walk.
-	type rungPair struct {
-		a, b   Engine
-		pa, pb *scratchPool
-	}
-	var ladder []rungPair
-	if cfg.OnFailure == Degrade {
-		ladA, err := pp.A.EngineLadder(eA, cfg.Ladder)
-		if err != nil {
-			return nil, err
-		}
-		ladB, err := pp.B.EngineLadder(eB, cfg.Ladder)
-		if err != nil {
-			return nil, err
-		}
-		byName := map[string]Engine{}
-		for _, e := range ladB {
-			byName[e.Name()] = e
-		}
-		for _, ea := range ladA {
-			if eb, ok := byName[ea.Name()]; ok {
-				ladder = append(ladder, rungPair{ea, eb, newScratchPool(ea), newScratchPool(eb)})
-			}
-		}
-	}
-
 	// buildSpecs maps sample i's row to both branch RunSpecs: shared
 	// sources apply the same value to both, independent sources their own.
 	buildSpecs := func(i int) (rsA, rsB teta.RunSpec) {
@@ -151,175 +109,109 @@ func (pp *PathPair) MonteCarloSkewCtx(ctx context.Context, cfg SkewConfig) (*Ske
 		return rsA, rsB
 	}
 
-	// branchEval runs one branch engine under the watchdog deadline. scp
-	// points at the worker's per-branch scratch slot (nil for ladder
-	// rungs, which draw from the rung's pool per invocation); a timed-out
-	// evaluation is abandoned with the scratch it owns — it never
-	// re-enters the pool — and the slot gets a replacement.
-	branchEval := func(ctx context.Context, eng Engine, scp *any, pool *scratchPool, rs teta.RunSpec) (*PathEval, error) {
-		if scp == nil {
-			sc := pool.get()
-			abandoned := false
-			ev, err := evalPathDeadline(ctx, cfg.SampleTimeout, eng.Name(), cfg.Metrics,
-				func() { abandoned = true },
-				func() (*PathEval, error) { return eng.EvalPath(sc, rs) })
-			if !abandoned {
-				pool.put(sc)
-			}
-			return ev, err
-		}
-		sc := *scp
-		return evalPathDeadline(ctx, cfg.SampleTimeout, eng.Name(), cfg.Metrics,
-			func() { *scp = pool.get() },
-			func() (*PathEval, error) { return eng.EvalPath(sc, rs) })
-	}
-
-	// Per-worker scratch: one per branch engine, reused across samples.
-	type skewScratch struct{ a, b any }
-	newState := func() *skewScratch {
-		return &skewScratch{a: poolA.get(), b: poolB.get()}
-	}
-
-	// evalOne evaluates both branches at sample i through one engine pair
-	// (sc == nil on the degrade-ladder path).
-	evalOne := func(ctx context.Context, i int, ea, eb Engine, pla, plb *scratchPool, sc *skewScratch) (pairDelay, error) {
-		rsA, rsB := buildSpecs(i)
-		var pa, pb *any
-		if sc != nil {
-			pa, pb = &sc.a, &sc.b
-		}
-		da, err := branchEval(ctx, ea, pa, pla, rsA)
-		if err != nil {
-			return pairDelay{}, fmt.Errorf("branch A: %w", err)
-		}
-		db, err := branchEval(ctx, eb, pb, plb, rsB)
-		if err != nil {
-			return pairDelay{}, fmt.Errorf("branch B: %w", err)
-		}
-		cfg.Metrics.AddSC(da.SCIters + db.SCIters)
-		cfg.Metrics.AddSolves(da.LinearSolves + db.LinearSolves)
-		cfg.Metrics.AddStageEvals(len(pp.A.Stages) + len(pp.B.Stages))
-		return pairDelay{a: da.Delay, b: db.Delay}, nil
-	}
-
-	// Per-index failure policy, mirroring runMonteCarlo: recovery depends
-	// only on (index, cause), so skip-sets and results are bit-identical
-	// at any worker count. Each ladder rung gets a fresh watchdog deadline.
-	evalFn := func(ctx context.Context, i int, sc *skewScratch) (pairDelay, error) {
-		d, err := evalOne(ctx, i, eA, eB, poolA, poolB, sc)
-		if err == nil || cfg.OnFailure == FailFast {
-			if err != nil {
-				err = NewSampleError(i, err)
-			}
-			return d, err
-		}
-		if cfg.OnFailure == Degrade {
-			for _, rung := range ladder {
-				d2, err2 := evalOne(ctx, i, rung.a, rung.b, rung.pa, rung.pb, nil)
-				if err2 != nil {
-					err = fmt.Errorf("%s rung also failed: %w (previous: %v)", rung.a.Name(), err2, err)
-					continue
+	// pairEval evaluates both branches at one sample through one engine
+	// pair; its scratch holds one engine scratch per branch.
+	type pairScratch struct{ a, b any }
+	pairEval := func(ea, eb Engine) Evaluator[pairDelay] {
+		return Evaluator[pairDelay]{
+			Name:       ea.Name(),
+			NewScratch: func() any { return &pairScratch{a: ea.NewScratch(), b: eb.NewScratch()} },
+			Eval: func(_ context.Context, i int, sc any) (pairDelay, error) {
+				ps := sc.(*pairScratch)
+				rsA, rsB := buildSpecs(i)
+				da, err := ea.EvalPath(ps.a, rsA)
+				if err != nil {
+					return pairDelay{}, fmt.Errorf("branch A: %w", err)
 				}
-				cfg.Metrics.AddDegraded(1)
-				d2.degraded = true
-				return d2, nil
-			}
-		}
-		return pairDelay{}, runner.SkipSample(NewSampleError(i, err))
-	}
-
-	res := &SkewResult{Skews: make([]float64, 0, cfg.N), Failures: FailureReport{Policy: cfg.OnFailure}}
-	as := make([]float64, 0, cfg.N)
-	bs := make([]float64, 0, cfg.N)
-
-	// Durable journal: the payload is the delivered prefix of both branch
-	// arrival lists plus the failure/cost counters (see MCConfig.Checkpoint
-	// for the resume semantics).
-	fp := checkpoint.Fingerprint{
-		Kind:    "skew",
-		Seed:    cfg.Seed,
-		N:       cfg.N,
-		Sampler: SamplerLHS.String(), // skew always samples jointly via LHS
-		Engine:  eA.Name(),
-		Ladder:  strings.Join(cfg.Ladder, ","),
-		Policy:  cfg.OnFailure.String(),
-		Sources: sourcesHash(pp.Shared, pp.IndependentA, pp.IndependentB),
-	}
-	start := 0
-	var ckpt *ckptWriter
-	if ck := cfg.Checkpoint; ck != nil {
-		if ck.Resume {
-			var st skewPayload
-			next, err := resumeSnapshot(ck, fp, cfg.Metrics, &st)
-			if err != nil {
-				return nil, err
-			}
-			if next > 0 {
-				as = append(as, st.A...)
-				bs = append(bs, st.B...)
-				res.Skews = append(res.Skews, st.Skews...)
-				res.Failures = st.Failures
-				restoreMetrics(cfg.Metrics, st.Metrics, next)
-				start = next
-			}
-		}
-		ckpt = &ckptWriter{ck: ck, fp: fp, m: cfg.Metrics, payload: func(int) any {
-			return skewPayload{
-				A: as, B: bs, Skews: res.Skews,
-				Failures: res.Failures,
-				Metrics:  saveMetrics(cfg.Metrics),
-			}
-		}}
-	}
-
-	// Limit-bounded shard: cap the sweep at the cut and return ErrPartial
-	// after the final flush (see runMonteCarlo for the contract).
-	sweepN := cfg.N
-	if ck := cfg.Checkpoint; ck != nil && ck.Limit > 0 && ck.Limit < cfg.N {
-		sweepN = ck.Limit
-		if start >= sweepN {
-			return nil, fmt.Errorf("core: samples [0,%d) already durable in %s: %w", start, ck.Path, ErrPartial)
+				db, err := eb.EvalPath(ps.b, rsB)
+				if err != nil {
+					return pairDelay{}, fmt.Errorf("branch B: %w", err)
+				}
+				cfg.Metrics.AddSC(da.SCIters + db.SCIters)
+				cfg.Metrics.AddSolves(da.LinearSolves + db.LinearSolves)
+				cfg.Metrics.AddStageEvals(len(pp.A.Stages) + len(pp.B.Stages))
+				return pairDelay{a: da.Delay, b: db.Delay}, nil
+			},
 		}
 	}
 
-	opts := cfg.runnerOptions()
-	opts.Start = start
-	opts.OnSkip = func(i int, err error) {
-		res.Failures.record(i, err)
-		class := ClassOther
-		var se *SampleError
-		if errors.As(err, &se) {
-			class = se.Class
-		}
-		cfg.Metrics.AddFailure(string(class))
-	}
-	if ckpt != nil {
-		opts.OnCheckpoint = ckpt.flush
-		opts.CheckpointEvery = cfg.Checkpoint.Every
-		opts.CheckpointInterval = cfg.Checkpoint.Interval
-	}
-	err = runner.MapWorker(ctx, sweepN, opts,
-		newState,
-		evalFn,
-		func(_ int, d pairDelay) {
-			as = append(as, d.a)
-			bs = append(bs, d.b)
-			res.Skews = append(res.Skews, d.a-d.b)
-			if d.degraded {
-				res.Failures.Degraded++
-			}
-		})
+	eA, err := pp.A.Engine(cfg.Engine)
 	if err != nil {
 		return nil, err
 	}
-	if ckpt != nil {
-		ckpt.flush(sweepN)
-		if ckpt.err != nil {
-			return nil, fmt.Errorf("core: checkpoint write failed: %w", ckpt.err)
+	eB, err := pp.B.Engine(cfg.Engine)
+	if err != nil {
+		return nil, err
+	}
+	// The Degrade ladder walks both branches in lockstep: rungs are paired
+	// by engine name so a recovered sample's arrivals come from the same
+	// backend. With default ladders an engine only one branch can build
+	// (e.g. spice-golden for a hand-assembled pair) drops out of the walk.
+	var ladder []Evaluator[pairDelay]
+	if cfg.OnFailure == Degrade {
+		ladA, err := pp.A.EngineLadder(eA, cfg.Ladder)
+		if err != nil {
+			return nil, err
+		}
+		ladB, err := pp.B.EngineLadder(eB, cfg.Ladder)
+		if err != nil {
+			return nil, err
+		}
+		byName := map[string]Engine{}
+		for _, e := range ladB {
+			byName[e.Name()] = e
+		}
+		for _, ea := range ladA {
+			if eb, ok := byName[ea.Name()]; ok {
+				ladder = append(ladder, pairEval(ea, eb))
+			}
 		}
 	}
-	if sweepN < cfg.N {
-		return nil, fmt.Errorf("core: samples [0,%d) of %d durable in %s: %w", sweepN, cfg.N, cfg.Checkpoint.Path, ErrPartial)
+
+	res := &SkewResult{Skews: make([]float64, 0, cfg.N)}
+	as := make([]float64, 0, cfg.N)
+	bs := make([]float64, 0, cfg.N)
+	sw := &Sweep[pairDelay]{
+		Primary:  pairEval(eA, eB),
+		Ladder:   ladder,
+		Failures: &res.Failures,
+		Deliver: func(_ int, d pairDelay) {
+			as = append(as, d.a)
+			bs = append(bs, d.b)
+			res.Skews = append(res.Skews, d.a-d.b)
+		},
+		// The journal payload is the delivered prefix of both branch
+		// arrival lists plus the failure/cost counters.
+		Fingerprint: checkpoint.Fingerprint{
+			Kind:    "skew",
+			Seed:    cfg.Seed,
+			N:       cfg.N,
+			Sampler: SamplerLHS.String(), // skew always samples jointly via LHS
+			Engine:  eA.Name(),
+			Ladder:  strings.Join(cfg.Ladder, ","),
+			Policy:  cfg.OnFailure.String(),
+			Sources: sourcesHash(pp.Shared, pp.IndependentA, pp.IndependentB),
+		},
+		Save: func(_ int, m runner.Snapshot) any {
+			return skewPayload{A: as, B: bs, Skews: res.Skews, Failures: res.Failures, Metrics: m}
+		},
+		Restore: func(state json.RawMessage) (runner.Snapshot, error) {
+			var st skewPayload
+			if err := json.Unmarshal(state, &st); err != nil {
+				return runner.Snapshot{}, err
+			}
+			as = append(as, st.A...)
+			bs = append(bs, st.B...)
+			res.Skews = append(res.Skews, st.Skews...)
+			res.Failures = st.Failures
+			return st.Metrics, nil
+		},
+	}
+	if _, err := sw.Start(cfg.RunConfig); err != nil {
+		return nil, err
+	}
+	if err := sw.Run(ctx, cfg.N); err != nil {
+		return nil, err
 	}
 	res.ArrivalA = stat.Summarize(as)
 	res.ArrivalB = stat.Summarize(bs)

@@ -3,113 +3,42 @@ package core
 import (
 	"context"
 	"fmt"
-	"sync"
 	"time"
-
-	"lcsim/internal/runner"
-	"lcsim/internal/teta"
 )
 
-// scratchBox is the mutable per-worker holder of an engine scratch. The
-// indirection exists for the watchdog: a timed-out evaluation's goroutine
-// cannot be killed, so it is abandoned together with the scratch it was
-// given, and the box gets a fresh scratch for the worker's next sample —
-// the leaked evaluation can never race a live one.
-type scratchBox struct{ sc any }
-
-// scratchPool recycles one engine's scratch state across degrade-ladder
-// retries and watchdog replacements, so a burst of recoveries (or a
-// pathological sample timing out on every rung) does not allocate fresh
-// solver state per incident. A scratch goes back in the pool ONLY after
-// its evaluation returned cleanly: a watchdog-abandoned goroutine still
-// owns the scratch it was given, so that scratch is leaked to it and the
-// pool hands out a fresh one instead. Engines whose NewScratch returns
-// nil flow through untouched (sync.Pool drops nil on Put and New keeps
-// returning nil).
-type scratchPool struct {
-	pool sync.Pool
-}
-
-// newScratchPool builds a pool producing eng's scratch state on demand.
-func newScratchPool(eng Engine) *scratchPool {
-	p := &scratchPool{}
-	p.pool.New = func() any { return eng.NewScratch() }
-	return p
-}
-
-// get draws a pooled (or freshly allocated) scratch.
-func (p *scratchPool) get() any { return p.pool.Get() }
-
-// put returns a scratch whose evaluation completed cleanly.
-func (p *scratchPool) put(sc any) { p.pool.Put(sc) }
-
-// evalPathDeadline runs eval — one synchronous engine invocation — under
-// the per-sample watchdog deadline d (d <= 0 runs eval inline, no
-// watchdog). On timeout the evaluation goroutine is abandoned (abandoned,
-// when non-nil, must replace whatever scratch the goroutine still owns),
-// the timeout metric is counted, and the returned error wraps
-// ErrSampleTimeout — classifying as FailTimeout and flowing through the
-// Skip/Degrade/FailFast policies like any other per-sample failure.
-// Cancellation of ctx also abandons the evaluation, so a hung engine
-// cannot delay a canceled run either.
-func evalPathDeadline(ctx context.Context, d time.Duration, name string, m *runner.Metrics, abandoned func(), eval func() (*PathEval, error)) (*PathEval, error) {
+// watch runs one evaluation of sample i under the per-sample watchdog
+// deadline RunConfig.SampleTimeout (0 runs it inline, unwatched).
+// Engines are synchronous and cannot be preempted, so on timeout — or
+// when ctx is canceled — the evaluation goroutine is abandoned together
+// with the scratch sc it was given: abandoned reports that the caller
+// must retire sc (never reuse it, never pool it), so the leaked
+// evaluation can never race a live one. A timeout is counted on
+// Metrics and returns an error wrapping ErrSampleTimeout, which the
+// OnFailure policy handles like any other per-sample failure.
+func (s *Sweep[T]) watch(ctx context.Context, i int, e *Evaluator[T], sc any) (v T, abandoned bool, err error) {
+	d := s.cfg.SampleTimeout
 	if d <= 0 {
-		return eval()
+		v, err = e.Eval(ctx, i, sc)
+		return v, false, err
 	}
 	type outcome struct {
-		ev  *PathEval
+		v   T
 		err error
 	}
 	ch := make(chan outcome, 1) // buffered: the abandoned goroutine never blocks
 	go func() {
-		ev, err := eval()
-		ch <- outcome{ev, err}
+		v, err := e.Eval(ctx, i, sc)
+		ch <- outcome{v, err}
 	}()
 	timer := time.NewTimer(d)
 	defer timer.Stop()
 	select {
 	case o := <-ch:
-		return o.ev, o.err
+		return o.v, false, o.err
 	case <-ctx.Done():
-		if abandoned != nil {
-			abandoned()
-		}
-		return nil, ctx.Err()
+		return v, true, ctx.Err()
 	case <-timer.C:
-		if abandoned != nil {
-			abandoned()
-		}
-		m.AddTimeout(1)
-		return nil, fmt.Errorf("engine %s: no result after %v: %w", name, d, ErrSampleTimeout)
+		s.cfg.Metrics.AddTimeout(1)
+		return v, true, fmt.Errorf("engine %s: no result after %v: %w", e.Name, d, ErrSampleTimeout)
 	}
-}
-
-// engineEvalDeadline evaluates one path sample through eng with the
-// worker's boxed scratch under the watchdog deadline. The scratch is read
-// out of the box before the evaluation starts; a timeout abandons it to
-// the hung goroutine and the box gets a replacement from the pool.
-func engineEvalDeadline(ctx context.Context, d time.Duration, eng Engine, pool *scratchPool, box *scratchBox, rs teta.RunSpec, m *runner.Metrics) (*PathEval, error) {
-	if d <= 0 {
-		return eng.EvalPath(box.sc, rs)
-	}
-	sc := box.sc
-	return evalPathDeadline(ctx, d, eng.Name(), m,
-		func() { box.sc = pool.get() },
-		func() (*PathEval, error) { return eng.EvalPath(sc, rs) })
-}
-
-// rungEvalDeadline evaluates one path sample through a degrade-ladder
-// rung under a fresh watchdog deadline, with scratch drawn from the
-// rung's pool. A cleanly returned scratch is recycled; an abandoned one
-// stays with the hung goroutine and never re-enters the pool.
-func rungEvalDeadline(ctx context.Context, d time.Duration, rung Engine, pool *scratchPool, rs teta.RunSpec, m *runner.Metrics) (*PathEval, error) {
-	sc := pool.get()
-	abandoned := false
-	ev, err := evalPathDeadline(ctx, d, rung.Name(), m,
-		func() { abandoned = true },
-		func() (*PathEval, error) { return rung.EvalPath(sc, rs) })
-	if !abandoned {
-		pool.put(sc)
-	}
-	return ev, err
 }

@@ -18,16 +18,12 @@ import (
 func TestFastPathMatchesExactExtractionDelay(t *testing.T) {
 	o := Ex2Options{Samples: 4}
 	o.setDefaults()
-	fastSt, err := ex2Stage(o, 40, false)
+	st, err := ex2Stage(o, 40)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !fastSt.BuildStats.VarMacro {
-		t.Fatalf("variational macromodel not characterized: %s", fastSt.BuildStats.VarMacroNote)
-	}
-	exactSt, err := ex2Stage(o, 40, true)
-	if err != nil {
-		t.Fatal(err)
+	if !st.BuildStats.VarMacro {
+		t.Fatalf("variational macromodel not characterized: %s", st.BuildStats.VarMacroNote)
 	}
 	signs := [][]float64{
 		{1, 1, 1, 1, 1},
@@ -47,7 +43,7 @@ func TestFastPathMatchesExactExtractionDelay(t *testing.T) {
 				w[pn] = scale * sgn[j]
 			}
 			rs := teta.RunSpec{W: w, Inputs: ex2Inputs(o)}
-			rf, err := fastSt.Run(rs)
+			rf, err := st.Run(rs)
 			if err != nil {
 				t.Fatalf("fast path at scale %g, signs %v: %v", scale, sgn, err)
 			}
@@ -55,7 +51,7 @@ func TestFastPathMatchesExactExtractionDelay(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			re, err := exactSt.Run(rs)
+			re, err := st.RunExact(rs)
 			if err != nil {
 				t.Fatalf("exact path at scale %g, signs %v: %v", scale, sgn, err)
 			}

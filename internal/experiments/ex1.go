@@ -169,13 +169,6 @@ func ex1Config() teta.Config {
 		TStop: 30e-9,
 		Order: 4,
 		Delta: 0.1, // corner DoE characterization (see example1VarROM)
-		// Example 1 validates the paper's library-evaluation path: the
-		// first-order variational ROM evaluated at p and then exactly
-		// extracted per sample. The characterize-once macromodel adds a
-		// second linearization (of the poles themselves) on top, which at
-		// this example's near-unstable p=0.1 corner is a different — and
-		// deliberately not exercised — approximation.
-		ExactExtract: true,
 	}
 }
 
@@ -216,7 +209,13 @@ func RunFigure3() (*Figure3Result, error) {
 		if direct {
 			return st.RunDirect(rs)
 		}
-		return st.Run(rs)
+		// Example 1 validates the paper's library-evaluation path: the
+		// first-order variational ROM evaluated at p and then exactly
+		// extracted per sample. The characterize-once macromodel adds a
+		// second linearization (of the poles themselves) on top, which at
+		// this example's near-unstable p=0.1 corner is a different — and
+		// deliberately not exercised — approximation.
+		return st.RunExact(rs)
 	}
 	nominal, err := run(0, true)
 	if err != nil {
@@ -316,8 +315,9 @@ func RunDivergence(pValues []float64) ([]DivergenceRow, error) {
 		} else {
 			row.SPICEOutcome = "converged"
 		}
-		// Framework path.
-		if _, err := st.Run(teta.RunSpec{
+		// Framework path (library evaluation + per-sample extraction, as
+		// in RunFigure3).
+		if _, err := st.RunExact(teta.RunSpec{
 			W:      map[string]float64{Ex1Param: p},
 			Inputs: [][]circuit.Waveform{{in}},
 		}); err != nil {

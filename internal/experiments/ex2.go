@@ -76,10 +76,10 @@ func (o *Ex2Options) setDefaults() {
 
 // ex2Stage builds the Figure-4 stage for one wirelength: ports are
 // [victim-near, aggressor1-near, aggressor2-near, victim-far(probe)].
-// exact pins the stage to per-sample extraction (the paper's
-// library-evaluation path); accuracy comparisons use it, timing sweeps
-// run the characterize-once fast path.
-func ex2Stage(o Ex2Options, lengthUm float64, exact bool) (*teta.Stage, error) {
+// Timing sweeps run the characterize-once fast path (Run/RunWith);
+// accuracy comparisons evaluate the paper's library-evaluation path with
+// per-sample extraction (RunExact).
+func ex2Stage(o Ex2Options, lengthUm float64) (*teta.Stage, error) {
 	bus := interconnect.BuildBus(o.Wire, 3, lengthUm, 1, true)
 	nl := bus.Netlist
 	nl.MarkPort(bus.In[1])  // victim (middle line) near end — port 0
@@ -92,7 +92,7 @@ func ex2Stage(o Ex2Options, lengthUm float64, exact bool) (*teta.Stage, error) {
 		{Name: "victim", Cell: device.INV, Drive: o.Drive, Port: 0},
 		{Name: "aggrA", Cell: device.INV, Drive: o.Drive, Port: 1},
 		{Name: "aggrB", Cell: device.INV, Drive: o.Drive, Port: 2},
-	}, teta.Config{Tech: o.Tech, DT: o.DT, TStop: o.TStop, Order: o.Order, ExactExtract: exact, MacroCache: o.MacroCache})
+	}, teta.Config{Tech: o.Tech, DT: o.DT, TStop: o.TStop, Order: o.Order, MacroCache: o.MacroCache})
 	if err != nil {
 		return nil, err
 	}
@@ -213,7 +213,7 @@ func RunFigure5(o Ex2Options, lengths []float64, spiceSamples int) ([]Figure5Row
 	var rows []Figure5Row
 	for _, l := range lengths {
 		t0 := time.Now()
-		st, err := ex2Stage(o, l, false)
+		st, err := ex2Stage(o, l)
 		if err != nil {
 			return nil, fmt.Errorf("length %g: %w", l, err)
 		}
@@ -277,7 +277,7 @@ func RunFigure6(o Ex2Options, lengthUm float64) (*Figure6Result, error) {
 	// this comparison covers both approximation layers at once: the
 	// variational library AND the macromodel linearization, against exact
 	// per-sample re-reduction.
-	st, err := ex2Stage(o, lengthUm, false)
+	st, err := ex2Stage(o, lengthUm)
 	if err != nil {
 		return nil, err
 	}

@@ -7,13 +7,13 @@ import (
 
 // BuildExample2Stage builds the Example-2 (Figure 4) stage at one
 // wirelength for external harnesses — the root-level benchmarks and the
-// cmd/lcsim bench subcommand. exact pins the stage to per-sample
-// extraction; otherwise samples evaluate through the characterize-once
-// variational macromodel. The stage's DC Newton is primed at the nominal
-// operating point.
-func BuildExample2Stage(o Ex2Options, lengthUm float64, exact bool) (*teta.Stage, error) {
+// cmd/lcsim bench subcommand. Run/RunWith evaluate samples through the
+// characterize-once variational macromodel, RunExact through per-sample
+// extraction. The stage's DC Newton is primed at the nominal operating
+// point.
+func BuildExample2Stage(o Ex2Options, lengthUm float64) (*teta.Stage, error) {
 	o.setDefaults()
-	return ex2Stage(o, lengthUm, exact)
+	return ex2Stage(o, lengthUm)
 }
 
 // Example2Samples draws the Example-2 LHS sample plan (o.Samples specs

@@ -4,10 +4,8 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"time"
 
 	"lcsim/internal/core"
-	"lcsim/internal/runner"
 	"lcsim/internal/stat"
 	"lcsim/internal/teta"
 )
@@ -51,7 +49,7 @@ func Example2Evaluator(o Ex2Options, lengthUm float64, engine string) (func(rs t
 	default:
 		return nil, fmt.Errorf("experiments: no Example-2 evaluator for engine %q (want teta-fast, teta-exact, teta-direct or spice-golden)", engine)
 	}
-	st, err := ex2Stage(o, lengthUm, false)
+	st, err := ex2Stage(o, lengthUm)
 	if err != nil {
 		return nil, err
 	}
@@ -88,8 +86,10 @@ type EngineValidation struct {
 // engine and reports per-engine statistics plus deltas against the first
 // (reference) engine — the cross-backend consistency check behind
 // `lcsim validate`. Sample i is identical across engines, so the
-// per-sample deltas isolate pure backend disagreement.
-func ValidateExample2(o Ex2Options, lengthUm float64, engines []string) ([]EngineValidation, error) {
+// per-sample deltas isolate pure backend disagreement. Each engine's
+// samples run through core.Sweep (fail-fast or skip policy, the
+// SampleTimeout watchdog, cancellation by ctx).
+func ValidateExample2(ctx context.Context, o Ex2Options, lengthUm float64, engines []string) ([]EngineValidation, error) {
 	o.setDefaults()
 	if len(engines) == 0 {
 		return nil, fmt.Errorf("experiments: validation needs at least one engine")
@@ -106,72 +106,32 @@ func ValidateExample2(o Ex2Options, lengthUm float64, engines []string) ([]Engin
 		if err != nil {
 			return nil, err
 		}
-		eval = withDeadline(o.SampleTimeout, eval)
+		// Pre-fill with NaN: a skipped sample never reaches Deliver, so its
+		// hole marks the index as undelivered for this engine.
 		delays := make([]float64, len(specs))
-		var skipped int
-		if o.OnFailure == core.Skip {
-			// Pre-fill with NaN: a skipped sample never reaches the sink,
-			// so its hole marks the index as undelivered for this engine.
-			for i := range delays {
-				delays[i] = math.NaN()
-			}
-			err = runner.MapWorker(context.Background(), len(specs),
-				runner.Options{
-					Workers:   o.Workers,
-					BatchSize: o.BatchSize,
-					OnSkip:    func(int, error) { skipped++ },
-				},
-				func() any { return nil },
-				runner.WithRecovery(
-					func(_ context.Context, i int, _ any) (float64, error) { return eval(specs[i]) },
-					func(_ context.Context, i int, _ any, cause error) (float64, error) {
-						return 0, runner.SkipSample(core.NewSampleError(i, cause))
-					}),
-				func(i int, d float64) { delays[i] = d })
-		} else {
-			err = runner.Map(context.Background(), len(specs),
-				runner.Options{Workers: o.Workers, BatchSize: o.BatchSize},
-				func(_ context.Context, i int) (float64, error) { return eval(specs[i]) },
-				func(i int, d float64) { delays[i] = d })
+		for i := range delays {
+			delays[i] = math.NaN()
+		}
+		var failures core.FailureReport
+		sw := &core.Sweep[float64]{
+			Primary: core.Evaluator[float64]{
+				Name: name,
+				Eval: func(_ context.Context, i int, _ any) (float64, error) { return eval(specs[i]) },
+			},
+			Deliver:  func(i int, d float64) { delays[i] = d },
+			Failures: &failures,
+		}
+		_, err = sw.Start(core.RunConfig{Workers: o.Workers, BatchSize: o.BatchSize, OnFailure: o.OnFailure, SampleTimeout: o.SampleTimeout})
+		if err == nil {
+			err = sw.Run(ctx, len(specs))
 		}
 		if err != nil {
 			return nil, fmt.Errorf("experiments: engine %s: %w", name, err)
 		}
-		out[ei] = EngineValidation{Engine: name, Summary: summarizeDelivered(delays), Delays: delays, Skipped: skipped}
+		out[ei] = EngineValidation{Engine: name, Summary: summarizeDelivered(delays), Delays: delays, Skipped: failures.Skipped}
 	}
 	FinishDeltas(out)
 	return out, nil
-}
-
-// withDeadline bounds each evaluation of eval by the watchdog deadline
-// d (0 = no bound, eval is returned unchanged). On timeout the
-// evaluation goroutine is abandoned — the Example-2 evaluators own no
-// shared scratch, so a stray goroutine finishing late is harmless — and
-// the sample fails with core.ErrSampleTimeout so the OnFailure policy
-// classifies it as a timeout.
-func withDeadline(d time.Duration, eval func(rs teta.RunSpec) (float64, error)) func(rs teta.RunSpec) (float64, error) {
-	if d <= 0 {
-		return eval
-	}
-	type outcome struct {
-		v   float64
-		err error
-	}
-	return func(rs teta.RunSpec) (float64, error) {
-		done := make(chan outcome, 1)
-		go func() {
-			v, err := eval(rs)
-			done <- outcome{v, err}
-		}()
-		t := time.NewTimer(d)
-		defer t.Stop()
-		select {
-		case o := <-done:
-			return o.v, o.err
-		case <-t.C:
-			return 0, fmt.Errorf("experiments: no result after %v: %w", d, core.ErrSampleTimeout)
-		}
-	}
 }
 
 // summarizeDelivered summarizes the delivered entries of an aligned

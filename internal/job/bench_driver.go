@@ -17,6 +17,7 @@ import (
 	"lcsim/internal/experiments"
 	"lcsim/internal/modelcache"
 	"lcsim/internal/runner"
+	"lcsim/internal/teta"
 )
 
 func init() {
@@ -58,14 +59,11 @@ func runBenchDriver(ctx context.Context, spec *Spec, env *Env) (*Result, error) 
 	t0 := time.Now()
 
 	o := experiments.Ex2Options{Samples: bp.Samples, Seed: spec.Run.Seed, MacroCache: env.MacroCache}
-	fastSt, err := experiments.BuildExample2Stage(o, bp.Wire, false)
+	st, err := experiments.BuildExample2Stage(o, bp.Wire)
 	if err != nil {
 		return nil, err
 	}
-	exactSt, err := experiments.BuildExample2Stage(o, bp.Wire, true)
-	if err != nil {
-		return nil, err
-	}
+	exact := func(_ *teta.Scratch, rs teta.RunSpec) (*teta.Result, error) { return st.RunExact(rs) }
 	specs := experiments.Example2Samples(o)
 
 	rep := benchReport{
@@ -85,7 +83,7 @@ func runBenchDriver(ctx context.Context, spec *Spec, env *Env) (*Result, error) 
 		if n := len(rep.Scaling); n > 0 && rep.Scaling[n-1].Workers == w {
 			continue
 		}
-		row, err := benchStage(fastSt, specs, w, spec.Run.Batch, core.EngineTetaFast, deadline)
+		row, err := benchStage(ctx, st, st.RunWith, specs, w, spec.Run.Batch, core.EngineTetaFast, deadline)
 		if err != nil {
 			return nil, err
 		}
@@ -102,14 +100,14 @@ func runBenchDriver(ctx context.Context, spec *Spec, env *Env) (*Result, error) 
 		}
 		rep.TimedOutSamples += r.TimedOut
 	}
-	rep.Exact1W, err = benchStage(exactSt, specs, 1, spec.Run.Batch, core.EngineTetaExact, deadline)
+	rep.Exact1W, err = benchStage(ctx, st, exact, specs, 1, spec.Run.Batch, core.EngineTetaExact, deadline)
 	if err != nil {
 		return nil, err
 	}
 	rep.SpeedupCharOnce = rep.Exact1W.NsPerSample / rep.Var1W.NsPerSample
 	rep.SpeedupParallel = rep.Var1W.NsPerSample / rep.VarNW.NsPerSample
 	if bp.Engine != "" {
-		row, snap, err := benchEngine(o, bp.Wire, bp.Engine, specs, deadline, ck)
+		row, snap, err := benchEngine(ctx, o, bp.Wire, bp.Engine, specs, deadline, ck)
 		if err != nil {
 			return nil, err
 		}
@@ -123,14 +121,14 @@ func runBenchDriver(ctx context.Context, spec *Spec, env *Env) (*Result, error) 
 		rep.TimedOutSamples += rep.EngineRow.TimedOut
 	}
 	if bp.Yield {
-		row, err := benchYield(env, bp.Wire, bp.YieldSamples, bp.YieldSigma, spec.Run.Workers)
+		row, err := benchYield(ctx, env, bp.Wire, bp.YieldSamples, bp.YieldSigma, spec.Run.Workers)
 		if err != nil {
 			return nil, err
 		}
 		rep.Yield = &row
 	}
 	if bp.SSTA {
-		row, err := benchSSTA(env, bp.SSTABench, spec.Run.Workers)
+		row, err := benchSSTA(ctx, env, bp.SSTABench, spec.Run.Workers)
 		if err != nil {
 			return nil, err
 		}

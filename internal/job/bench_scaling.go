@@ -1,12 +1,10 @@
 package job
 
 // This file measures the worker-scaling section of BENCH_mc.json: the
-// per-sample cost of one teta.Stage sweep at a given worker count,
-// with the per-sample watchdog shared by every bench section.
+// per-sample cost of one teta.Stage sweep at a given worker count.
 
 import (
 	"context"
-	"fmt"
 	"runtime"
 	"time"
 
@@ -15,88 +13,46 @@ import (
 	"lcsim/internal/teta"
 )
 
-// evalDeadline bounds one synchronous benchmark evaluation by the
-// watchdog deadline d (0 = no bound). On timeout the evaluation
-// goroutine is abandoned — abandoned (if non-nil) must retire any
-// scratch state the stray goroutine still owns — and the sample fails
-// with core.ErrSampleTimeout so the sweep's skip path classifies it as
-// a timeout.
-func evalDeadline(d time.Duration, m *runner.Metrics, abandoned func(), eval func() error) error {
-	if d <= 0 {
-		return eval()
-	}
-	done := make(chan error, 1)
-	go func() { done <- eval() }()
-	t := time.NewTimer(d)
-	defer t.Stop()
-	select {
-	case err := <-done:
-		return err
-	case <-t.C:
-		if abandoned != nil {
-			abandoned()
-		}
-		m.AddTimeout(1)
-		return fmt.Errorf("bench: no result after %v: %w", d, core.ErrSampleTimeout)
-	}
-}
-
-// benchBox holds one worker's stage scratch behind a replaceable slot:
-// when the watchdog abandons a hung evaluation, the stray goroutine
-// keeps the old scratch and the worker continues on a fresh one.
-type benchBox struct{ sc *teta.Scratch }
-
 // benchStage times one MC-style sweep over the sample specs with the
 // given worker count and dispatch batch size, reporting per-sample wall
 // time, allocations and the worker-utilization split. engineName labels
-// the row (the backend the teta.Stage was built for); deadline, when
-// positive, bounds each sample evaluation.
-func benchStage(st *teta.Stage, specs []teta.RunSpec, workers, batch int, engineName string, deadline time.Duration) (benchRow, error) {
+// the row (run evaluates one sample on st through that backend, with the
+// worker's scratch); deadline, when positive, bounds each sample
+// evaluation.
+func benchStage(ctx context.Context, st *teta.Stage, run func(sc *teta.Scratch, rs teta.RunSpec) (*teta.Result, error), specs []teta.RunSpec, workers, batch int, engineName string, deadline time.Duration) (benchRow, error) {
 	// The sweep skips failing samples (instead of aborting the whole
 	// benchmark) and records them in the row's fault counters, so a partly
 	// sick configuration still produces a measurement — visibly flagged.
 	// Metrics are reset per pass so the reported counters cover exactly the
 	// measured sweep, not the warm-up.
 	var metrics *runner.Metrics
-	run := func() (time.Duration, error) {
+	sweep := func() (time.Duration, error) {
 		metrics = &runner.Metrics{}
 		t0 := time.Now()
-		err := runner.MapWorker(context.Background(), len(specs),
-			runner.Options{
-				Workers: workers, BatchSize: batch, Metrics: metrics,
-				OnSkip: func(_ int, err error) {
-					metrics.AddFailure(string(core.ClassifyFailure(err)))
-				},
+		sw := &core.Sweep[struct{}]{Primary: core.Evaluator[struct{}]{
+			Name:       engineName,
+			NewScratch: func() any { return st.NewScratch() },
+			Eval: func(_ context.Context, i int, sc any) (struct{}, error) {
+				_, err := run(sc.(*teta.Scratch), specs[i])
+				return struct{}{}, err
 			},
-			func() *benchBox { return &benchBox{sc: st.NewScratch()} },
-			runner.WithRecovery(
-				func(_ context.Context, i int, box *benchBox) (struct{}, error) {
-					sc := box.sc
-					err := evalDeadline(deadline, metrics,
-						func() { box.sc = st.NewScratch() },
-						func() error {
-							_, err := st.RunWith(sc, specs[i])
-							return err
-						})
-					return struct{}{}, err
-				},
-				func(_ context.Context, i int, _ *benchBox, cause error) (struct{}, error) {
-					return struct{}{}, runner.SkipSample(core.NewSampleError(i, cause))
-				}),
-			nil)
-		if err != nil {
+		}}
+		if _, err := sw.Start(core.RunConfig{Workers: workers, BatchSize: batch, Metrics: metrics, OnFailure: core.Skip, SampleTimeout: deadline}); err != nil {
+			return 0, err
+		}
+		if err := sw.Run(ctx, len(specs)); err != nil {
 			return 0, err
 		}
 		return time.Since(t0), nil
 	}
 	// Warm-up pass: DC warm start, convolver memo, scratch pools.
-	if _, err := run(); err != nil {
+	if _, err := sweep(); err != nil {
 		return benchRow{}, err
 	}
 	runtime.GC()
 	var m0, m1 runtime.MemStats
 	runtime.ReadMemStats(&m0)
-	el, err := run()
+	el, err := sweep()
 	if err != nil {
 		return benchRow{}, err
 	}

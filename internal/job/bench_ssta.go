@@ -15,13 +15,13 @@ import (
 // benchSSTA measures the full-chip SSTA section: one ssta.Run over the
 // named benchmark at the Example-3 characterization defaults, reporting
 // the partition economics and wall-clock split.
-func benchSSTA(env *Env, name string, workers int) (sstaBenchRow, error) {
+func benchSSTA(ctx context.Context, env *Env, name string, workers int) (sstaBenchRow, error) {
 	c, err := loadBenchmark(name)
 	if err != nil {
 		return sstaBenchRow{}, err
 	}
 	t0 := time.Now()
-	res, err := ssta.Run(context.Background(), c, ssta.Config{
+	res, err := ssta.Run(ctx, c, ssta.Config{
 		RunConfig: core.RunConfig{Workers: workers, Metrics: &runner.Metrics{}, MacroCache: env.MacroCache},
 		Sources:   core.DeviceSources(device.Tech180, 0.33, 0.33),
 	})

@@ -18,7 +18,7 @@ import (
 // the IS run's CI half-width — because actually running plain MC to a
 // ppm-resolution CI costs ~10⁷ evaluations (the point of the IS
 // driver is not having to).
-func benchYield(env *Env, wire float64, samples int, sigma float64, workers int) (yieldBenchRow, error) {
+func benchYield(ctx context.Context, env *Env, wire float64, samples int, sigma float64, workers int) (yieldBenchRow, error) {
 	p, err := core.BuildChain(core.ChainSpec{
 		Cells:        []string{"INV", "NAND2", "INV"},
 		Drive:        2,
@@ -35,7 +35,7 @@ func benchYield(env *Env, wire float64, samples int, sigma float64, workers int)
 		return yieldBenchRow{}, err
 	}
 	sources := append(core.DeviceSources(device.Tech180, 0.33, 0.33), core.WireSources(0.33)...)
-	res, err := p.ImportanceYieldCtx(context.Background(), core.ISConfig{
+	res, err := p.ImportanceYieldCtx(ctx, core.ISConfig{
 		N:           samples,
 		Sources:     sources,
 		BudgetSigma: sigma,

@@ -59,7 +59,7 @@ func runValidateDriver(ctx context.Context, spec *Spec, env *Env) (*Result, erro
 			SampleTimeout: time.Duration(spec.Run.SampleTimeout),
 			MacroCache:    env.MacroCache,
 		}
-		res, err := experiments.ValidateExample2(o, vp.Wire, engines)
+		res, err := experiments.ValidateExample2(ctx, o, vp.Wire, engines)
 		if err != nil {
 			return nil, err
 		}

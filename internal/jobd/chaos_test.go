@@ -2,6 +2,7 @@ package jobd
 
 import (
 	"context"
+	"os"
 	"testing"
 	"time"
 
@@ -137,4 +138,47 @@ func TestChaosMatrixKillRestart(t *testing.T) {
 		}
 		assertSameRun(t, got, directResult(t, specs[i], cleanCache))
 	}
+}
+
+// TestCorruptJournalRestartsFromZero pins the chaos-matrix flake: a job
+// whose journal has no readable generation (two torn saves in a row that
+// both reported success) must not burn its retries failing the same way.
+// The daemon drops the journal and restarts the job from sample 0 — safe
+// because the journal is a prefix cut of a deterministic stream — so the
+// result is bit-identical to a direct run.
+func TestCorruptJournalRestartsFromZero(t *testing.T) {
+	q, err := OpenQueue(t.TempDir(), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cache, err := modelcache.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec := pathSpec(t, 31, 24)
+	id, err := q.Enqueue(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range []string{q.JournalPath(id), checkpoint.BakPath(q.JournalPath(id))} {
+		if err := os.WriteFile(p, []byte("torn"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	logs := &testLog{}
+	stop := startSupervisor(t, Config{
+		Queue: q, Jobs: 1, ShardSamples: 8, Every: 4, MaxAttempts: 3,
+		Poll: 10 * time.Millisecond, Heartbeat: -1, MacroCache: cache, Logf: logs.logf,
+	})
+	defer stop()
+	waitStatus(t, q, id, StatusDone, 120*time.Second)
+	stop()
+	if !logs.contains("journal unreadable, restarting from sample 0") {
+		t.Fatalf("no journal-restart event logged: %q", logs.lines)
+	}
+	got, err := q.Result(id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	assertSameRun(t, got, directResult(t, spec, cache))
 }

@@ -10,6 +10,7 @@ import (
 	"strings"
 	"time"
 
+	"lcsim/internal/checkpoint"
 	"lcsim/internal/faultinj"
 	"lcsim/internal/job"
 )
@@ -67,6 +68,31 @@ func (q *Queue) JournalPath(id string) string { return filepath.Join(q.Dir(id), 
 func (q *Queue) ResultPath(id string) string  { return filepath.Join(q.Dir(id), "result.json") }
 func (q *Queue) StdoutPath(id string) string  { return filepath.Join(q.Dir(id), "stdout.txt") }
 func (q *Queue) statePath(id string) string   { return filepath.Join(q.Dir(id), "state.rec") }
+
+// DurableCut reads one job's shard journal and returns its prefix cut:
+// samples [0, cut) are durable. A job that has not journaled yet has
+// cut 0 and no error; a journal with no readable generation returns an
+// error wrapping checkpoint.ErrCorruptCheckpoint.
+func (q *Queue) DurableCut(id string) (int, error) {
+	snap, _, err := checkpoint.Load(q.JournalPath(id), nil)
+	if checkpoint.IsNotExist(err) {
+		return 0, nil
+	}
+	if err != nil {
+		return 0, err
+	}
+	return snap.Next, nil
+}
+
+// dropJournal removes both generations of one job's journal.
+func (q *Queue) dropJournal(id string) error {
+	for _, p := range []string{q.JournalPath(id), checkpoint.BakPath(q.JournalPath(id))} {
+		if err := q.fs.Remove(p); err != nil && !os.IsNotExist(err) {
+			return fmt.Errorf("jobd: %w", err)
+		}
+	}
+	return nil
+}
 
 // JobID derives the queue id of a spec: the first 12 hex digits of its
 // content hash.

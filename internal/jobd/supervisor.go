@@ -215,10 +215,17 @@ func (s *Supervisor) runJob(ctx context.Context, id string, attempts int) {
 	for {
 		// The journal, not memory, says where the job is: shard limits are
 		// computed from the durable cut so a retry after a stale-writer
-		// regression simply re-covers the lost range.
-		next := 0
-		if snap, _, err := checkpoint.Load(q.JournalPath(id), nil); err == nil {
-			next = snap.Next
+		// regression simply re-covers the lost range. A journal with no
+		// readable generation (say, two torn saves in a row that reported
+		// success) is dropped and the job restarts from sample 0: the
+		// journal is only a prefix cut of a deterministic stream, so
+		// re-evaluating it reproduces the same bits.
+		next, err := q.DurableCut(id)
+		if errors.Is(err, checkpoint.ErrCorruptCheckpoint) {
+			s.cfg.Logf("jobd: job %s: journal unreadable, restarting from sample 0: %v", id, err)
+			if derr := q.dropJournal(id); derr != nil {
+				s.cfg.Logf("jobd: job %s: drop journal: %v", id, derr)
+			}
 		}
 		limit := 0
 		if shardable && s.cfg.ShardSamples > 0 && n > 0 && next+s.cfg.ShardSamples < n {

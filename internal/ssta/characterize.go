@@ -55,13 +55,15 @@ func (m *BlockModel) buildSuffix(sources []core.Source) {
 
 // CharacterizeStats reports the characterization economics: how many
 // blocks the partition produced, how many distinct macromodels were
-// actually built, and how many blocks rode a cache hit.
+// actually built, and how many blocks rode a cache hit. Wall is process
+// telemetry, not part of the statistical result, so it stays out of the
+// serialized summary: two runs of one spec serialize identically.
 type CharacterizeStats struct {
 	Blocks      int           `json:"blocks"`
 	Distinct    int           `json:"distinct"`
 	CacheHits   int           `json:"cache_hits"`
 	Simulations int           `json:"simulations"` // stage simulations spent by GA
-	Wall        time.Duration `json:"wall_ns"`
+	Wall        time.Duration `json:"-"`
 }
 
 // characterize builds one macromodel per distinct block key, fanned out

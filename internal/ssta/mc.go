@@ -3,10 +3,8 @@ package ssta
 import (
 	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"strings"
-	"time"
 
 	"lcsim/internal/checkpoint"
 	"lcsim/internal/core"
@@ -44,20 +42,12 @@ func (r *MCResult) SinkSummary(net string) (stat.Summary, bool) {
 	return stat.Summary{}, false
 }
 
-// sampleEval carries one sample's outcome through the runner: the
+// sampleEval carries one sample's outcome through the sweep: the
 // arrival at every sink (SinkBlocks order) and their max.
 type sampleEval struct {
 	arrivals []float64
 	chip     float64
 	sc       int
-	degraded bool
-}
-
-// mcState is the per-worker evaluation state: one scratch per distinct
-// model, replaceable wholesale when a watchdog timeout abandons an
-// evaluation that still owns them.
-type mcState struct {
-	scratch []*core.PathScratch
 }
 
 // mcPayload is the driver state inside an ssta-mc checkpoint snapshot: a
@@ -101,11 +91,12 @@ func engineName(name string) string {
 // engine registry (one EvalPath per distinct cell chain — the
 // content-keyed cache works per sample too), per-entry suffix delays are
 // summed from the measured stage delays, and scalar arrivals propagate
-// through the block graph with the exact max. The embedded RunConfig
-// applies in full: workers/batching (bit-identical results at any
-// count — accumulation happens on the ordered drain), OnFailure
-// (skip/degrade ladder), SampleTimeout watchdog, and the checkpoint
-// journal.
+// through the block graph with the exact max. The samples run through
+// core.Sweep, so the embedded RunConfig applies in full and exactly as
+// in the path drivers: workers/batching (bit-identical results at any
+// count — accumulation happens on the ordered drain), OnFailure (a
+// Degrade rung re-evaluates every block on the next engine), the
+// SampleTimeout watchdog, cancellation and the checkpoint journal.
 func RunMC(ctx context.Context, c *iscas.Circuit, cfg Config, n int) (*MCResult, error) {
 	cfg.setDefaults()
 	if err := cfg.validate(); err != nil {
@@ -113,12 +104,6 @@ func RunMC(ctx context.Context, c *iscas.Circuit, cfg Config, n int) (*MCResult,
 	}
 	if n <= 0 {
 		return nil, fmt.Errorf("ssta: MC needs n > 0")
-	}
-	if err := cfg.Checkpoint.Validate(); err != nil {
-		return nil, err
-	}
-	if cfg.SampleTimeout < 0 {
-		return nil, fmt.Errorf("ssta: SampleTimeout must be >= 0, got %v", cfg.SampleTimeout)
 	}
 	g, err := Partition(c)
 	if err != nil {
@@ -163,258 +148,96 @@ func RunMC(ctx context.Context, c *iscas.Circuit, cfg Config, n int) (*MCResult,
 		return core.BuildRunSpec(cfg.Sources, vals)
 	}
 
-	res := &MCResult{Stats: stats, Failures: core.FailureReport{Policy: cfg.OnFailure}}
-	sinkStreams := make([]*stat.StreamSummary, len(g.SinkBlocks))
-	for i := range sinkStreams {
-		sinkStreams[i] = stat.NewStreamSummary()
+	// evalModels returns the sweep evaluation of all distinct blocks at
+	// one sample through the given per-model engines: it propagates the
+	// arrivals, using the worker's per-model scratch when it has one.
+	evalModels := func(engs []core.Engine, newScratch func() any) core.Evaluator[sampleEval] {
+		return core.Evaluator[sampleEval]{
+			Name:       engs[0].Name(),
+			NewScratch: newScratch,
+			Eval: func(_ context.Context, i int, sc any) (sampleEval, error) {
+				scratch, _ := sc.([]*core.PathScratch)
+				return evalSample(g, order, engs, scratch, rowSpec(i), cfg.Metrics)
+			},
+		}
 	}
-	chipStream := stat.NewStreamSummary()
-
-	// evalModels runs all distinct blocks at one sample through the given
-	// per-model engines (scratch may be nil) and propagates arrivals.
-	evalModels := func(engs []core.Engine, scratch []*core.PathScratch, rs teta.RunSpec) (sampleEval, error) {
-		suffix := make([][]float64, len(order))
-		sc := 0
-		for mi, m := range order {
-			var psc *core.PathScratch
-			if scratch != nil {
-				psc = scratch[mi]
-			}
-			var ev *core.PathEval
-			var err error
-			if psc != nil {
-				ev, err = engs[mi].EvalPath(psc, rs)
-			} else {
-				ev, err = engs[mi].EvalPath(nil, rs)
-			}
-			if err != nil {
-				return sampleEval{}, fmt.Errorf("block %q: %w", m.Key, err)
-			}
-			sc += ev.SCIters
-			cfg.Metrics.AddSC(ev.SCIters)
-			cfg.Metrics.AddSolves(ev.LinearSolves)
-			cfg.Metrics.AddStageEvals(len(m.Path.Stages))
-			// Suffix sums: delay from stage j's input to the block output.
-			suf := make([]float64, len(ev.StageDelays))
-			acc := 0.0
-			for j := len(ev.StageDelays) - 1; j >= 0; j-- {
-				acc += ev.StageDelays[j]
-				suf[j] = acc
-			}
-			suffix[mi] = suf
-		}
-		modelIdx := map[string]int{}
-		for mi, m := range order {
-			modelIdx[m.Key] = mi
-		}
-		arr := map[string]float64{}
-		for _, b := range g.Blocks {
-			suf := suffix[modelIdx[b.Key]]
-			out := 0.0
-			for k, e := range b.Entries {
-				cand := arr[e.Net] + suf[e.Stage] // absent nets are sources: arrival 0
-				if k == 0 || cand > out {
-					out = cand
-				}
-			}
-			arr[b.Output] = out
-		}
-		se := sampleEval{arrivals: make([]float64, len(g.SinkBlocks)), sc: sc}
-		for k, bi := range g.SinkBlocks {
-			a := arr[g.Blocks[bi].Output]
-			se.arrivals[k] = a
-			if k == 0 || a > se.chip {
-				se.chip = a
-			}
-		}
-		return se, nil
-	}
-
-	newScratch := func() []*core.PathScratch {
+	primary := evalModels(engines, func() any {
 		out := make([]*core.PathScratch, len(order))
 		for mi, m := range order {
 			out[mi] = m.Path.NewScratch()
 		}
 		return out
+	})
+	// Degrade re-evaluates the whole sample — every distinct block — on
+	// each ladder rung every model can build, in ascending cost order.
+	var ladder []core.Evaluator[sampleEval]
+	for r := 0; len(ladders) > 0 && r < len(ladders[0]); r++ {
+		rung := make([]core.Engine, len(order))
+		for mi := range order {
+			if r >= len(ladders[mi]) {
+				rung = nil
+				break
+			}
+			rung[mi] = ladders[mi][r]
+		}
+		if rung == nil {
+			break
+		}
+		ladder = append(ladder, evalModels(rung, nil))
 	}
 
-	// Primary evaluation under the watchdog deadline. A timed-out
-	// evaluation's goroutine may still own the worker's scratch, so the
-	// state swaps in fresh scratch before the worker continues.
-	evalPrimary := func(ctx context.Context, i int, st *mcState) (sampleEval, error) {
-		rs := rowSpec(i)
-		if cfg.SampleTimeout <= 0 {
-			return evalModels(engines, st.scratch, rs)
-		}
-		type outcome struct {
-			v   sampleEval
-			err error
-		}
-		ch := make(chan outcome, 1)
-		scratch := st.scratch
-		go func() {
-			v, err := evalModels(engines, scratch, rs)
-			ch <- outcome{v, err}
-		}()
-		timer := time.NewTimer(cfg.SampleTimeout)
-		defer timer.Stop()
-		select {
-		case o := <-ch:
-			return o.v, o.err
-		case <-timer.C:
-			st.scratch = newScratch() // the abandoned goroutine keeps the old one
-			return sampleEval{}, fmt.Errorf("ssta: sample exceeded %v: %w", cfg.SampleTimeout, core.ErrSampleTimeout)
-		}
+	res := &MCResult{Stats: stats}
+	sinkStreams := make([]*stat.StreamSummary, len(g.SinkBlocks))
+	for i := range sinkStreams {
+		sinkStreams[i] = stat.NewStreamSummary()
 	}
-
-	// recover implements OnFailure. Degrade re-evaluates the whole sample
-	// — every distinct block — on each ladder rung in ascending cost
-	// order, so a recovered sample is a pure function of (index, cause)
-	// and results stay bit-identical at any worker count.
-	recoverFn := func(ctx context.Context, i int, _ *mcState, cause error) (sampleEval, error) {
-		switch cfg.OnFailure {
-		case core.Skip:
-			return sampleEval{}, runner.SkipSample(core.NewSampleError(i, cause))
-		case core.Degrade:
-			rs := rowSpec(i)
-			nrungs := 0
-			if len(ladders) > 0 {
-				nrungs = len(ladders[0])
-			}
-			for r := 0; r < nrungs; r++ {
-				rung := make([]core.Engine, len(order))
-				ok := true
-				for mi := range order {
-					if r >= len(ladders[mi]) {
-						ok = false
-						break
-					}
-					rung[mi] = ladders[mi][r]
-				}
-				if !ok {
-					break
-				}
-				v, rerr := evalModels(rung, nil, rs)
-				if rerr != nil {
-					cause = fmt.Errorf("%s rung also failed: %w (previous: %v)", rung[0].Name(), rerr, cause)
-					continue
-				}
-				cfg.Metrics.AddDegraded(1)
-				v.degraded = true
-				return v, nil
-			}
-			return sampleEval{}, runner.SkipSample(core.NewSampleError(i, cause))
-		default:
-			return sampleEval{}, core.NewSampleError(i, cause)
-		}
-	}
-
-	// Durable journal: restore a matching snapshot's prefix, flush
-	// prefix-consistent cuts from the ordered-delivery goroutine.
-	fp := mcFingerprint(c, g, cfg, n)
-	start := 0
-	var flushErr error
-	flush := func(int) {}
-	if ck := cfg.Checkpoint; ck != nil {
-		if ck.Resume {
-			snap, _, err := checkpoint.Load(ck.Path, cfg.Metrics)
-			switch {
-			case checkpoint.IsNotExist(err):
-			case err != nil:
-				return nil, err
-			default:
-				if err := fp.Check(snap.Fingerprint); err != nil {
-					return nil, fmt.Errorf("ssta: cannot resume %s: %w", ck.Path, err)
-				}
-				var st mcPayload
-				if err := json.Unmarshal(snap.State, &st); err != nil {
-					return nil, fmt.Errorf("ssta: %s: %w: state payload: %v", ck.Path, checkpoint.ErrCorruptCheckpoint, err)
-				}
-				if snap.Next > 0 {
-					if len(st.Sinks) != len(sinkStreams) {
-						return nil, fmt.Errorf("ssta: %s: snapshot has %d sinks, run has %d", ck.Path, len(st.Sinks), len(sinkStreams))
-					}
-					for i := range sinkStreams {
-						sinkStreams[i].Restore(st.Sinks[i])
-					}
-					chipStream.Restore(st.Chip)
-					res.TotalSC = st.TotalSC
-					res.Failures = st.Failures
-					cfg.Metrics.Merge(st.Metrics)
-					cfg.Metrics.AddResumed(snap.Next)
-					start = snap.Next
-				}
-			}
-		}
-		flush = func(next int) {
-			if flushErr != nil {
-				return
-			}
-			st := mcPayload{
-				Chip:     chipStream.State(),
-				TotalSC:  res.TotalSC,
-				Failures: res.Failures,
-			}
-			if cfg.Metrics != nil {
-				st.Metrics = cfg.Metrics.Snapshot()
-				st.Metrics.Resumed = 0
-			}
-			for _, s := range sinkStreams {
-				st.Sinks = append(st.Sinks, s.State())
-			}
-			body, err := json.Marshal(st)
-			if err == nil {
-				err = checkpoint.Save(cfg.Checkpoint.Path, &checkpoint.Snapshot{Fingerprint: fp, Next: next, State: body}, cfg.Metrics)
-			}
-			if err != nil {
-				flushErr = err
-			}
-		}
-	}
-
-	opts := runner.Options{
-		Workers:   cfg.Workers,
-		BatchSize: cfg.BatchSize,
-		Metrics:   cfg.Metrics,
-		Progress:  cfg.Progress,
-		Start:     start,
-		OnSkip: func(i int, err error) {
-			res.Failures.Record(i, err)
-			class := core.ClassOther
-			var se *core.SampleError
-			if errors.As(err, &se) {
-				class = se.Class
-			}
-			cfg.Metrics.AddFailure(string(class))
-		},
-	}
-	if cfg.Checkpoint != nil {
-		opts.OnCheckpoint = flush
-		opts.CheckpointEvery = cfg.Checkpoint.Every
-		opts.CheckpointInterval = cfg.Checkpoint.Interval
-	}
-
-	err = runner.MapWorker(ctx, n, opts,
-		func() *mcState { return &mcState{scratch: newScratch()} },
-		runner.WithRecovery(evalPrimary, recoverFn),
-		func(i int, v sampleEval) {
+	chipStream := stat.NewStreamSummary()
+	sw := &core.Sweep[sampleEval]{
+		Primary:  primary,
+		Ladder:   ladder,
+		Failures: &res.Failures,
+		Deliver: func(_ int, v sampleEval) {
 			for k, a := range v.arrivals {
 				sinkStreams[k].Add(a)
 			}
 			chipStream.Add(v.chip)
 			res.TotalSC += v.sc
-			if v.degraded {
-				res.Failures.Degraded++
+		},
+		Fingerprint: mcFingerprint(c, g, cfg, n),
+		Save: func(_ int, m runner.Snapshot) any {
+			st := mcPayload{
+				Chip:     chipStream.State(),
+				TotalSC:  res.TotalSC,
+				Failures: res.Failures,
+				Metrics:  m,
 			}
-		})
-	if err != nil {
+			for _, s := range sinkStreams {
+				st.Sinks = append(st.Sinks, s.State())
+			}
+			return st
+		},
+		Restore: func(state json.RawMessage) (runner.Snapshot, error) {
+			var st mcPayload
+			if err := json.Unmarshal(state, &st); err != nil {
+				return runner.Snapshot{}, err
+			}
+			if len(st.Sinks) != len(sinkStreams) {
+				return runner.Snapshot{}, fmt.Errorf("snapshot has %d sinks, run has %d", len(st.Sinks), len(sinkStreams))
+			}
+			for i := range sinkStreams {
+				sinkStreams[i].Restore(st.Sinks[i])
+			}
+			chipStream.Restore(st.Chip)
+			res.TotalSC = st.TotalSC
+			res.Failures = st.Failures
+			return st.Metrics, nil
+		},
+	}
+	if _, err := sw.Start(cfg.RunConfig); err != nil {
 		return nil, err
 	}
-	if cfg.Checkpoint != nil {
-		flush(n)
-		if flushErr != nil {
-			return nil, fmt.Errorf("ssta: checkpoint write failed: %w", flushErr)
-		}
+	if err := sw.Run(ctx, n); err != nil {
+		return nil, err
 	}
 	for k, bi := range g.SinkBlocks {
 		res.Sinks = append(res.Sinks, MCSinkResult{
@@ -424,4 +247,62 @@ func RunMC(ctx context.Context, c *iscas.Circuit, cfg Config, n int) (*MCResult,
 	}
 	res.Chip = chipStream.Summary()
 	return res, nil
+}
+
+// evalSample evaluates every distinct block model at sample rs through
+// its engine (with the worker's scratch when it has one), sums per-entry
+// suffix delays from the measured stage delays and propagates scalar
+// arrivals through the block graph with the exact max.
+func evalSample(g *Graph, order []*BlockModel, engs []core.Engine, scratch []*core.PathScratch, rs teta.RunSpec, m *runner.Metrics) (sampleEval, error) {
+	suffix := make([][]float64, len(order))
+	sc := 0
+	for mi, bm := range order {
+		var ev *core.PathEval
+		var err error
+		if scratch != nil {
+			ev, err = engs[mi].EvalPath(scratch[mi], rs)
+		} else {
+			ev, err = engs[mi].EvalPath(nil, rs)
+		}
+		if err != nil {
+			return sampleEval{}, fmt.Errorf("block %q: %w", bm.Key, err)
+		}
+		sc += ev.SCIters
+		m.AddSC(ev.SCIters)
+		m.AddSolves(ev.LinearSolves)
+		m.AddStageEvals(len(bm.Path.Stages))
+		// Suffix sums: delay from stage j's input to the block output.
+		suf := make([]float64, len(ev.StageDelays))
+		acc := 0.0
+		for j := len(ev.StageDelays) - 1; j >= 0; j-- {
+			acc += ev.StageDelays[j]
+			suf[j] = acc
+		}
+		suffix[mi] = suf
+	}
+	modelIdx := map[string]int{}
+	for mi, bm := range order {
+		modelIdx[bm.Key] = mi
+	}
+	arr := map[string]float64{}
+	for _, b := range g.Blocks {
+		suf := suffix[modelIdx[b.Key]]
+		out := 0.0
+		for k, e := range b.Entries {
+			cand := arr[e.Net] + suf[e.Stage] // absent nets are sources: arrival 0
+			if k == 0 || cand > out {
+				out = cand
+			}
+		}
+		arr[b.Output] = out
+	}
+	se := sampleEval{arrivals: make([]float64, len(g.SinkBlocks)), sc: sc}
+	for k, bi := range g.SinkBlocks {
+		a := arr[g.Blocks[bi].Output]
+		se.arrivals[k] = a
+		if k == 0 || a > se.chip {
+			se.chip = a
+		}
+	}
+	return se, nil
 }

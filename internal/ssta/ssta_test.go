@@ -12,6 +12,8 @@ import (
 	"lcsim/internal/core"
 	"lcsim/internal/device"
 	"lcsim/internal/iscas"
+	"lcsim/internal/runner"
+	"lcsim/internal/teta"
 )
 
 func s27Mapped(t *testing.T) *iscas.Circuit {
@@ -286,11 +288,40 @@ func TestMCCheckpointResume(t *testing.T) {
 	}
 }
 
+// hangEngine blocks every path evaluation until release is closed: the
+// hung block the watchdog exists for.
+type hangEngine struct {
+	core.Engine
+	release <-chan struct{}
+}
+
+func (h hangEngine) EvalPath(any, teta.RunSpec) (*core.PathEval, error) {
+	<-h.release
+	return nil, errors.New("hang released")
+}
+
+// installHang wraps every engine resolved from now until test cleanup in
+// a hangEngine (through core.SetEngineWrapper, the way jobd.InstallChaos
+// installs its chaos engine). Characterization is unaffected: it
+// evaluates stages, not paths.
+func installHang(t *testing.T) {
+	t.Helper()
+	release := make(chan struct{})
+	prev := core.SetEngineWrapper(func(e core.Engine) core.Engine { return hangEngine{e, release} })
+	t.Cleanup(func() {
+		core.SetEngineWrapper(prev)
+		close(release)
+	})
+}
+
 func TestSampleTimeoutSkips(t *testing.T) {
 	c := s27Mapped(t)
+	installHang(t)
+	m := &runner.Metrics{}
 	cfg := testConfig(2)
 	cfg.OnFailure = core.Skip
-	cfg.SampleTimeout = time.Nanosecond // every sample trips the watchdog
+	cfg.SampleTimeout = 20 * time.Millisecond // every sample hangs, so the watchdog always wins
+	cfg.Metrics = m
 	mc, err := RunMC(context.Background(), c, cfg, 8)
 	if err != nil {
 		t.Fatal(err)
@@ -303,6 +334,9 @@ func TestSampleTimeoutSkips(t *testing.T) {
 	}
 	if mc.Chip.N != 0 {
 		t.Fatalf("chip summary has %d samples, want 0", mc.Chip.N)
+	}
+	if got := m.Snapshot().TimedOut; got != 8 {
+		t.Fatalf("Metrics.TimedOut = %d, want 8", got)
 	}
 }
 

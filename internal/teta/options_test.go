@@ -87,11 +87,11 @@ func unstableLoad() *circuit.Netlist {
 
 func unstableStage(t *testing.T, noStab bool) *Stage {
 	t.Helper()
-	// ExactExtract pins these tests to the per-sample extraction path: the
-	// instability under test lives in the exactly-extracted poles of the
-	// library-evaluated ROM, which the first-order pole perturbation of the
-	// variational macromodel does not reach at this sample magnitude.
-	cfg := Config{Tech: device.Tech600, DT: 20e-12, TStop: 10e-9, Order: 4, Delta: 0.1, NoStab: noStab, ExactExtract: true}
+	// The tests evaluate through RunExact, the per-sample extraction path:
+	// the instability under test lives in the exactly-extracted poles of
+	// the library-evaluated ROM, which the first-order pole perturbation of
+	// the variational macromodel does not reach at this sample magnitude.
+	cfg := Config{Tech: device.Tech600, DT: 20e-12, TStop: 10e-9, Order: 4, Delta: 0.1, NoStab: noStab}
 	st, err := BuildStage(unstableLoad(), []DriverSpec{{Name: "inv", Cell: device.INV, Drive: 2, Port: 0}}, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -104,7 +104,7 @@ func TestNoStabFailsOnUnstableModel(t *testing.T) {
 	// rejected by the convolver rather than silently simulated.
 	st := unstableStage(t, true)
 	in := [][]circuit.Waveform{{circuit.SatRamp{V0: 0, V1: 3.3, Start: 1e-9, Slew: 0.5e-9}}}
-	if _, err := st.Run(RunSpec{W: map[string]float64{"p": 0.1}, Inputs: in}); err == nil {
+	if _, err := st.RunExact(RunSpec{W: map[string]float64{"p": 0.1}, Inputs: in}); err == nil {
 		t.Fatal("unstable model without the filter must be refused")
 	}
 }
@@ -112,7 +112,7 @@ func TestNoStabFailsOnUnstableModel(t *testing.T) {
 func TestRunStatsReportFilterActivity(t *testing.T) {
 	st := unstableStage(t, false)
 	in := [][]circuit.Waveform{{circuit.SatRamp{V0: 0, V1: 3.3, Start: 1e-9, Slew: 0.5e-9}}}
-	res, err := st.Run(RunSpec{W: map[string]float64{"p": 0.1}, Inputs: in})
+	res, err := st.RunExact(RunSpec{W: map[string]float64{"p": 0.1}, Inputs: in})
 	if err != nil {
 		t.Fatal(err)
 	}

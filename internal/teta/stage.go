@@ -59,12 +59,6 @@ type Config struct {
 	// the stability correction instead of the default DC-shift variant
 	// (poleres.StabilizeShift). Exposed for the ablation benchmark.
 	UseBetaStab bool
-	// ExactExtract forces a full pole/residue extraction (dense LU +
-	// eigendecomposition) on every sample instead of evaluating the
-	// characterize-once variational macromodel. It is the accuracy
-	// reference for the fast path and the baseline of the
-	// characterization-speedup benchmark.
-	ExactExtract bool
 	// MacroCache, when non-nil, is the cross-run macromodel store:
 	// BuildStage characterizes through it, so a stage whose variational
 	// library was already characterized by any earlier process loads the
@@ -243,14 +237,14 @@ type RunSpec struct {
 
 // Run simulates the stage for one sample (the paper's Table 1
 // "Evaluation" steps 1–4). When the variational macromodel is available
-// (and Config.ExactExtract is off) the sample is evaluated on the
-// characterize-once fast path with pooled scratch; otherwise the library
-// is evaluated and the pole/residue form extracted per sample.
+// the sample is evaluated on the characterize-once fast path with pooled
+// scratch; otherwise the library is evaluated and the pole/residue form
+// extracted per sample (see RunExact).
 func (st *Stage) Run(rs RunSpec) (*Result, error) {
 	if err := st.checkInputs(rs); err != nil {
 		return nil, err
 	}
-	if st.varmac == nil || st.cfg.ExactExtract {
+	if st.varmac == nil {
 		// Evaluate the variational library and stabilize.
 		rom := st.varrom.At(rs.W)
 		return st.runROM(rom, rs)
@@ -295,7 +289,7 @@ func (st *Stage) RunWith(sc *Scratch, rs RunSpec) (*Result, error) {
 	if err := st.checkInputs(rs); err != nil {
 		return nil, err
 	}
-	if st.varmac == nil || st.cfg.ExactExtract {
+	if st.varmac == nil {
 		rom := st.varrom.At(rs.W)
 		return st.runROM(rom, rs)
 	}
@@ -323,13 +317,14 @@ func (st *Stage) getScratch() *Scratch {
 
 // RunExact evaluates one sample through the per-sample extraction path —
 // variational library evaluation followed by a full pole/residue
-// extraction (dense LU + eigendecomposition), exactly what
-// Config.ExactExtract forces for every sample — regardless of whether the
-// characterize-once macromodel is available. It is the degradation rung
-// for samples whose fast-path evaluation fails (e.g. a singular Gr(w) in
-// the macromodel's DC correction): the exact extraction does not share
-// the macromodel's first-order truncation, so it can succeed where the
-// fast path cannot.
+// extraction (dense LU + eigendecomposition) — regardless of whether the
+// characterize-once macromodel is available. It is the accuracy
+// reference for the fast path, the baseline of the
+// characterization-speedup benchmark, and the degradation rung for
+// samples whose fast-path evaluation fails (e.g. a singular Gr(w) in the
+// macromodel's DC correction): the exact extraction does not share the
+// macromodel's first-order truncation, so it can succeed where the fast
+// path cannot.
 func (st *Stage) RunExact(rs RunSpec) (*Result, error) {
 	if err := st.checkInputs(rs); err != nil {
 		return nil, err
