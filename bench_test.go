@@ -9,6 +9,7 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"runtime"
 	"testing"
 	"time"
 
@@ -401,9 +402,11 @@ func BenchmarkGAvsMCPathCost(b *testing.B) {
 }
 
 // BenchmarkMCWorkers measures the parallel runtime on a 1000-sample
-// Monte-Carlo run over a short chain: serial vs all cores, plus an
-// explicit wall-clock speedup metric. The serial and parallel summaries
-// are bit-identical (same seed ⇒ same plan, ordered streaming sink).
+// Monte-Carlo run over a short chain: serial vs all cores, plus the
+// scaling gate. speedup compares 1 worker with 4, checks the two
+// summaries are bit-identical (same seed ⇒ same plan, ordered streaming
+// sink) and fails below 1.5×. A host with GOMAXPROCS < 4 cannot show
+// that speedup, so there it skips instead of reporting a number.
 func BenchmarkMCWorkers(b *testing.B) {
 	p, err := core.BuildChain(core.ChainSpec{
 		Cells: []string{"INV", "INV"}, Drive: 2, ElemsBetween: 4,
@@ -434,17 +437,24 @@ func BenchmarkMCWorkers(b *testing.B) {
 		}
 	})
 	b.Run("speedup", func(b *testing.B) {
+		if procs := runtime.GOMAXPROCS(0); procs < 4 {
+			b.Skipf("GOMAXPROCS %d: need >= 4 to assert a 4-worker speedup", procs)
+		}
 		for i := 0; i < b.N; i++ {
 			t0 := time.Now()
-			serial := run(b, 0)
+			serial := run(b, 1)
 			ts := time.Since(t0)
 			t1 := time.Now()
-			par := run(b, -1)
+			par := run(b, 4)
 			tp := time.Since(t1)
 			if serial.Summary != par.Summary {
 				b.Fatal("parallel summary differs from serial")
 			}
-			b.ReportMetric(ts.Seconds()/tp.Seconds(), "x-speedup")
+			speedup := ts.Seconds() / tp.Seconds()
+			if speedup < 1.5 {
+				b.Fatalf("4-worker speedup %.2fx is below the 1.5x floor (GOMAXPROCS %d)", speedup, runtime.GOMAXPROCS(0))
+			}
+			b.ReportMetric(speedup, "x-speedup")
 		}
 	})
 }

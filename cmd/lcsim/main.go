@@ -4,7 +4,6 @@
 //	lcsim reduce   -netlist f.sp -order 4 [-at p=0.1,...]
 //	lcsim sta      -bench s27 [-ssta -budget 300p -mc 5000 -check 0.05]
 //	lcsim yield    -cells INV,NAND2,INV -budget-sigma 4 -n 1000
-//	lcsim bench    -samples 100 -out BENCH_mc.json
 //	lcsim validate -engines teta-exact,spice-golden -samples 20
 //	lcsim run      -spec job.json
 //
@@ -19,11 +18,10 @@
 // importance sampling (a GA-aimed mean-shifted proposal — ppm-level
 // failure probabilities at orders of magnitude fewer evaluations than
 // plain Monte Carlo);
-// `bench` measures the per-sample Monte-Carlo evaluation cost and emits
-// machine-readable JSON;
 // `validate` cross-checks stage-evaluation engines (e.g. the TETA fast
 // path against the transistor-level spice-golden baseline) on a shared
-// sample set.
+// sample set. Performance is measured by the repo benchmark
+// (`bash perfbench/run.sh`), not by a subcommand.
 //
 // Every subcommand is a thin spec builder over the internal/job driver
 // registry: its flags serialize into a job.Spec (printable with
@@ -73,8 +71,6 @@ func main() {
 		runSkew(args[1:])
 	case "yield":
 		runYield(args[1:])
-	case "bench":
-		runBench(args[1:])
 	case "validate":
 		runValidate(args[1:])
 	case "run":
@@ -86,7 +82,7 @@ func main() {
 }
 
 func usage() {
-	fmt.Fprintln(os.Stderr, "usage: lcsim [-cpuprofile f] [-memprofile f] <sim|reduce|sta|path|skew|yield|bench|validate|run> [flags]")
+	fmt.Fprintln(os.Stderr, "usage: lcsim [-cpuprofile f] [-memprofile f] <sim|reduce|sta|path|skew|yield|validate|run> [flags]")
 	os.Exit(2)
 }
 

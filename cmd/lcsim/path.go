@@ -26,10 +26,7 @@ func runPath(args []string) {
 	stdVT := fs.Float64("std-vt", 0.33, "threshold variation (fraction of 3σ class)")
 	wires := fs.Bool("wires", false, "include wire-parameter variations")
 	seed := fs.Int64("seed", 1, "sampling seed")
-	sf := registerSweepFlags(fs, sweepOpts{
-		sampler: true, engine: true, policy: true,
-		run: true, watchdog: true, ckpt: true,
-	})
+	sf := registerSweepFlags(fs, sweepOpts{sampler: true, engine: true, ckpt: true})
 	fail(fs.Parse(args))
 	if *cells == "" {
 		fail(fmt.Errorf("path needs -cells"))

@@ -18,10 +18,7 @@ func runSkew(args []string) {
 	wireB := fs.Float64("wire-b", 100, "per-stage wire length on branch B, um")
 	mcN := fs.Int("mc", 60, "Monte-Carlo samples")
 	seed := fs.Int64("seed", 1, "sampling seed")
-	sf := registerSweepFlags(fs, sweepOpts{
-		engine: true, policy: true,
-		run: true, watchdog: true, ckpt: true,
-	})
+	sf := registerSweepFlags(fs, sweepOpts{engine: true, ckpt: true})
 	fail(fs.Parse(args))
 	spec := mustSpec("skew", sf.runSpec(*seed), job.SkewParams{
 		StagesA: *stagesA,

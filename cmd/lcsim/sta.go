@@ -35,9 +35,7 @@ func runSTA(args []string) {
 	wires := fs.Bool("wires", false, "include wire-parameter variations")
 	seed := fs.Int64("seed", 1, "sampling seed for the MC reference")
 	jsonOut := fs.String("json", "", "write the statistical report as JSON to `file`")
-	sf := registerSweepFlags(fs, sweepOpts{
-		engine: true, policy: true, run: true, watchdog: true, ckpt: true,
-	})
+	sf := registerSweepFlags(fs, sweepOpts{engine: true, ckpt: true})
 	fail(fs.Parse(args))
 	spec := mustSpec("sta", sf.runSpec(*seed), job.STAParams{
 		Bench:   *bench,

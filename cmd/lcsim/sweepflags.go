@@ -9,22 +9,19 @@ import (
 )
 
 // sweepOpts selects which optional members of the shared sweep flag
-// block a subcommand registers; the -workers/-batch pair and the
-// job-layer -dump-spec/-model-cache pair are always included. validate
-// keeps engine off (it has its own -engines list) and bench keeps
-// run/policy off (it measures, it does not analyze).
+// block a subcommand registers; -workers/-batch, -on-failure,
+// -timeout/-progress, -sample-timeout and the job-layer
+// -dump-spec/-model-cache pair are always included. validate keeps
+// engine off (it has its own -engines list) and checkpointing off.
 type sweepOpts struct {
-	sampler  bool // -sampler: the MC plan choice
-	engine   bool // -engine: single-backend sweeps
-	policy   bool // -on-failure
-	run      bool // -timeout and -progress
-	watchdog bool // -sample-timeout
-	ckpt     bool // -checkpoint / -checkpoint-every / -resume
+	sampler bool // -sampler: the MC plan choice
+	engine  bool // -engine: single-backend sweeps
+	ckpt    bool // -checkpoint / -checkpoint-every / -resume
 }
 
 // sweepFlags is the execution-policy flag block shared by the
-// statistical subcommands (path, skew, bench, validate). Every knob of
-// job.RunSpec registers here exactly once, so a new knob — like
+// statistical subcommands (path, skew, sta, yield, validate). Every
+// knob of job.RunSpec registers here exactly once, so a new knob — like
 // -model-cache — lands in all sweeps at the same time instead of being
 // copy-pasted per subcommand.
 type sweepFlags struct {
@@ -46,26 +43,20 @@ type sweepFlags struct {
 // on fs. Read the resolved values (and call the resolver methods) only
 // after fs.Parse.
 func registerSweepFlags(fs *flag.FlagSet, opts sweepOpts) *sweepFlags {
-	sf := &sweepFlags{OnFailureName: "fail-fast", SamplerName: "lhs"}
+	sf := &sweepFlags{SamplerName: "lhs"}
 	fs.IntVar(&sf.Workers, "workers", -1, "evaluation workers (0 = serial, -1 = all cores)")
 	fs.IntVar(&sf.Batch, "batch", 0, "samples per worker dispatch batch (0 = automatic; results are identical at any batch size)")
 	fs.BoolVar(&sf.DumpSpec, "dump-spec", false, "print the job spec as JSON instead of running (feed it to `lcsim run -spec -`)")
 	fs.StringVar(&sf.ModelCache, "model-cache", "", "content-addressed macromodel store `dir` shared across runs (empty = off)")
-	if opts.run {
-		fs.DurationVar(&sf.Timeout, "timeout", 0, "abort the analysis after this wall-clock time (0 = none)")
-		fs.BoolVar(&sf.Progress, "progress", false, "report sweep progress on stderr")
-	}
+	fs.DurationVar(&sf.Timeout, "timeout", 0, "abort the analysis after this wall-clock time (0 = none)")
+	fs.BoolVar(&sf.Progress, "progress", false, "report sweep progress on stderr")
+	fs.DurationVar(&sf.SampleTimeout, "sample-timeout", 0, "watchdog deadline per sample evaluation (0 = none)")
+	fs.StringVar(&sf.OnFailureName, "on-failure", "fail-fast", "per-sample failure policy: fail-fast, skip or degrade")
 	if opts.sampler {
 		fs.StringVar(&sf.SamplerName, "sampler", "lhs", "sampling plan: lhs, halton or pseudo")
 	}
-	if opts.policy {
-		fs.StringVar(&sf.OnFailureName, "on-failure", "fail-fast", "per-sample failure policy: fail-fast, skip or degrade")
-	}
 	if opts.engine {
 		fs.StringVar(&sf.Engine, "engine", "", "stage-evaluation engine (teta-fast, teta-exact, teta-direct, spice-golden; default teta-fast)")
-	}
-	if opts.watchdog {
-		fs.DurationVar(&sf.SampleTimeout, "sample-timeout", 0, "watchdog deadline per sample evaluation (0 = none)")
 	}
 	if opts.ckpt {
 		sf.ckptOf = checkpointFlags(fs)

@@ -28,7 +28,7 @@ func runValidate(args []string) {
 	elems := fs.Int("elems", 10, "linear elements between chain stages (-cells mode)")
 	drive := fs.Float64("drive", 2, "cell drive strength (-cells mode)")
 	seed := fs.Int64("seed", 1, "sampling seed")
-	sf := registerSweepFlags(fs, sweepOpts{policy: true, run: true, watchdog: true})
+	sf := registerSweepFlags(fs, sweepOpts{})
 	fail(fs.Parse(args))
 	var engines []string
 	for _, e := range strings.Split(*enginesFlag, ",") {

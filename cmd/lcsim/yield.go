@@ -34,10 +34,7 @@ func runYield(args []string) {
 	samplerName := fs.String("sampler", "pseudo", "sampling plan for the shifted draw: pseudo or halton (LHS is rejected: it couples all N rows)")
 	checkMC := fs.Int("check-mc", 0, "cross-check against a plain MC reference of this many samples; exit 1 if the estimates disagree beyond the combined CI")
 	jsonOut := fs.Bool("json", false, "emit the result as JSON on stdout")
-	sf := registerSweepFlags(fs, sweepOpts{
-		engine: true, policy: true,
-		run: true, watchdog: true, ckpt: true,
-	})
+	sf := registerSweepFlags(fs, sweepOpts{engine: true, ckpt: true})
 	fail(fs.Parse(args))
 	if *cells == "" {
 		fail(fmt.Errorf("yield needs -cells"))

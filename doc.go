@@ -8,7 +8,8 @@
 // regenerates every table and figure of the paper's evaluation; the
 // implementation lives under internal/ (see DESIGN.md for the system
 // inventory) and is exercised by the cmd/ report tools and the runnable
-// examples/ programs.
+// examples/ programs. Performance is measured by the repo benchmark
+// under perfbench/ (bash perfbench/run.sh).
 //
 // # Context-first API and the shared RunConfig
 //
@@ -39,17 +40,16 @@
 // # One sample sweep
 //
 // Every statistical driver — path MC, correlated MC, importance-sampled
-// yield (one call per adaptive round), skew, ssta.RunMC, the bench rows
-// and cross-engine validation — spends its samples through core.Sweep. A
-// driver supplies only what is its own: the primary core.Evaluator (a
-// per-worker scratch constructor and Eval(ctx, i, scratch)) and its
-// Degrade rungs, an ordered Deliver(i, v) plus optional per-worker
-// shards, and, when it journals, its checkpoint Fingerprint and payload
-// Save/Restore. It inherits everything else: RunConfig validation, the
-// OnFailure policy, the SampleTimeout watchdog with cancellation and
-// scratch retirement, skip accounting into the FailureReport and
-// runner.Metrics, and the journal's resume, flush cadence, final flush
-// and Checkpoint.Limit cut.
+// yield (one call per adaptive round), skew, ssta.RunMC and cross-engine
+// validation — spends its samples through core.Sweep. A driver supplies
+// only what is its own: the primary core.Evaluator (a per-worker scratch
+// constructor and Eval(ctx, i, scratch)) and its Degrade rungs, an
+// ordered Deliver(i, v) plus optional per-worker shards, and, when it
+// journals, its checkpoint Fingerprint and payload Save/Restore. It
+// inherits everything else: RunConfig validation, the OnFailure policy,
+// the SampleTimeout watchdog with cancellation and scratch retirement,
+// skip accounting into the FailureReport and runner.Metrics, and the
+// journal's resume, flush cadence, final flush and Checkpoint.Limit cut.
 //
 // Runs execute on the internal/runner worker pool: Workers = 0 means
 // serial, negative means GOMAXPROCS, positive is an exact count.
@@ -114,8 +114,8 @@
 // sampler, engine/ladder, policy, source list) disagrees with the live
 // run is refused with checkpoint.ErrMismatch; a corrupt snapshot
 // (checkpoint.ErrCorruptCheckpoint, CRC-verified) falls back to the
-// .bak generation. The lcsim path/skew/yield/sta/bench subcommands
-// expose -checkpoint, -checkpoint-every, -resume and -sample-timeout.
+// .bak generation. The lcsim path/skew/yield/sta subcommands expose
+// -checkpoint, -checkpoint-every, -resume and -sample-timeout.
 //
 // # Crash-only job daemon (lcsimd)
 //

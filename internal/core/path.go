@@ -24,8 +24,8 @@
 //     GA-aimed mean-shifted defensive-mixture proposal with
 //     likelihood-ratio-weighted accumulators (internal/stat), reaching
 //     ppm-level failure probabilities at orders of magnitude fewer
-//     engine evaluations than plain MC (measured ≥300× at a 4σ budget;
-//     see BENCH_mc.json's yield section).
+//     engine evaluations than plain MC (339× at a 4σ budget on the
+//     Example-2 path; TestISEvalReductionFloor holds it at ≥100×).
 //
 // Every driver is also addressable as a serialized job: internal/job
 // wraps these entry points in a registry of named drivers behind a

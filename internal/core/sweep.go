@@ -34,8 +34,8 @@ func (e *Evaluator[T]) newScratch() any {
 }
 
 // Sweep is the one sample loop behind every statistical driver (path
-// MC, correlated MC, IS yield, skew, ssta.RunMC, the bench rows,
-// cross-engine validation). A driver supplies only what is its own:
+// MC, correlated MC, IS yield, skew, ssta.RunMC, cross-engine
+// validation). A driver supplies only what is its own:
 // the primary Evaluator and its Degrade rungs, the ordered Deliver of
 // evaluated values into its accumulators, optional per-worker shards,
 // and — when it journals — its checkpoint Fingerprint and payload

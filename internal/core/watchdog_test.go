@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"sync"
 	"testing"
 	"time"
 
@@ -46,20 +47,69 @@ func registerHangEngine(t *testing.T, name string, p *Path) {
 	})
 }
 
+// replayEngine wraps teta-exact for one test path. With record set it
+// evaluates through teta-exact and keeps each sample's result; otherwise
+// it returns the kept result at once, so as a degrade rung it always
+// answers well inside the watchdog deadline, however slow the host (or
+// the race detector) makes teta-exact itself.
+type replayEngine struct {
+	Engine
+	name   string
+	record bool
+	memo   *sync.Map // sample key → PathEval
+}
+
+func (e replayEngine) Name() string { return e.name }
+
+func (e replayEngine) EvalPath(sc any, rs teta.RunSpec) (*PathEval, error) {
+	key := fmt.Sprint(rs.W, rs.DL, rs.DVT)
+	if !e.record {
+		ev, ok := e.memo.Load(key)
+		if !ok {
+			return nil, fmt.Errorf("%s: no recorded result for sample %s", e.name, key)
+		}
+		out := ev.(PathEval)
+		return &out, nil
+	}
+	ev, err := e.Engine.EvalPath(sc, rs)
+	if err == nil {
+		e.memo.Store(key, *ev)
+	}
+	return ev, err
+}
+
+// registerReplayEngines registers the recording and the replaying side
+// of one teta-exact memo for exactly one test path.
+func registerReplayEngines(p *Path, record, replay string) {
+	memo := &sync.Map{}
+	for _, name := range []string{record, replay} {
+		RegisterEngine(name, 1, false, func(pp *Path) (Engine, error) {
+			if pp != p {
+				return nil, fmt.Errorf("%s serves only its own test path", name)
+			}
+			exact, err := pp.Engine(EngineTetaExact)
+			return replayEngine{Engine: exact, name: name, record: name == record, memo: memo}, err
+		})
+	}
+}
+
 // TestSampleTimeoutDegradesToNextRung is the satellite watchdog/ladder
 // test: a rung that blocks forever must degrade to the next rung
 // deterministically at any worker count, with FailTimeout in the cause
 // chain (here observed through the Degraded recovery and the timeout
 // metrics; the skip/fail-fast variants below check the chain itself).
+// The rung replays the reference run's teta-exact results, so only the
+// hung primary can meet the deadline.
 func TestSampleTimeoutDegradesToNextRung(t *testing.T) {
 	p := quickChain(t, []string{"INV", "INV"}, 6, false)
 	registerHangEngine(t, "test-hang-degrade", p)
+	registerReplayEngines(p, "test-exact-record", "test-exact-replay")
 
 	const n = 6
 	sources := DeviceSources(p.Tech, 0.33, 0.33)
 	ref, err := p.MonteCarloCtx(context.Background(), MCConfig{
 		N: n, Sources: sources, KeepSamples: true,
-		RunConfig: RunConfig{Seed: 13, Engine: EngineTetaExact},
+		RunConfig: RunConfig{Seed: 13, Engine: "test-exact-record"},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -72,7 +122,7 @@ func TestSampleTimeoutDegradesToNextRung(t *testing.T) {
 				N: n, Sources: sources, KeepSamples: true,
 				RunConfig: RunConfig{
 					Seed: 13, Workers: workers,
-					Engine: "test-hang-degrade", OnFailure: Degrade, Ladder: []string{EngineTetaExact},
+					Engine: "test-hang-degrade", OnFailure: Degrade, Ladder: []string{"test-exact-replay"},
 					SampleTimeout: 30 * time.Millisecond, Metrics: m,
 				},
 			})
@@ -80,8 +130,8 @@ func TestSampleTimeoutDegradesToNextRung(t *testing.T) {
 				t.Fatal(err)
 			}
 			// Every sample timed out on the hung primary and recovered
-			// through the teta-exact rung — bit-identical to a plain
-			// teta-exact run.
+			// through the rung — bit-identical to the teta-exact
+			// reference run.
 			if got.Failures.Degraded != n || got.Failures.Skipped != 0 {
 				t.Fatalf("degraded=%d skipped=%d, want %d/0", got.Failures.Degraded, got.Failures.Skipped, n)
 			}

@@ -6,8 +6,8 @@ import (
 )
 
 // BuildExample2Stage builds the Example-2 (Figure 4) stage at one
-// wirelength for external harnesses — the root-level benchmarks and the
-// cmd/lcsim bench subcommand. Run/RunWith evaluate samples through the
+// wirelength for external harnesses such as the root-level benchmarks
+// (BenchmarkMCAllocs). Run/RunWith evaluate samples through the
 // characterize-once variational macromodel, RunExact through per-sample
 // extraction. The stage's DC Newton is primed at the nominal operating
 // point.

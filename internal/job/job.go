@@ -260,7 +260,7 @@ func decodeParams(s *Spec, into any) error {
 	return nil
 }
 
-// Artifact references one file a driver wrote (a BENCH JSON, an SSTA
+// Artifact references one file a driver wrote (the `sta -json` SSTA
 // report) so result consumers can find driver outputs without parsing
 // driver text.
 type Artifact struct {

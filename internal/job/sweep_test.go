@@ -15,7 +15,6 @@ import (
 	"lcsim/internal/checkpoint"
 	"lcsim/internal/core"
 	"lcsim/internal/device"
-	"lcsim/internal/experiments"
 	"lcsim/internal/faultinj"
 	"lcsim/internal/iscas"
 	"lcsim/internal/mat"
@@ -25,10 +24,10 @@ import (
 )
 
 // This file drives every statistical driver — path MC, correlated MC, IS
-// yield, skew, ssta.RunMC and the bench engine row — through the
-// per-sample policies of core.Sweep: cancellation, the watchdog, skip,
-// degrade, kill/resume and a seeded fault schedule. The package sits
-// above all of them, so one table covers them all.
+// yield, skew and ssta.RunMC — through the per-sample policies of
+// core.Sweep: cancellation, the watchdog, skip, degrade, kill/resume and
+// a seeded fault schedule. The package sits above all of them, so one
+// table covers them all.
 
 // sweepFaults scripts the test backends for one test: "test-hang"
 // blocks every evaluation, "test-faulty" fails the samples fail selects
@@ -37,7 +36,6 @@ type sweepFaults struct {
 	release chan struct{} // closed at test cleanup: hung evaluations return
 	entered chan struct{} // signaled when an evaluation starts hanging
 	fail    func(rs teta.RunSpec) bool
-	onEval  func() // called on every test-faulty evaluation (nil = none)
 	failed  atomic.Int64
 }
 
@@ -69,11 +67,8 @@ func (f *sweepFaults) hang() error {
 	return errors.New("hang released")
 }
 
-// check runs the per-evaluation hook and the scripted failure.
+// check runs the scripted failure.
 func (f *sweepFaults) check(rs teta.RunSpec) error {
-	if f.onEval != nil {
-		f.onEval()
-	}
 	if f.fail != nil && f.fail(rs) {
 		f.failed.Add(1)
 		return fmt.Errorf("test-faulty: %w", teta.ErrSCDiverged)
@@ -116,25 +111,6 @@ func (e testEngine) EvalPath(sc any, rs teta.RunSpec) (*core.PathEval, error) {
 	return e.Engine.EvalPath(sc, rs)
 }
 
-// benchEvaluator stands in for the Example-2 evaluator of the bench
-// engine row: a synthetic delay per sample, scripted like testEngine.
-func benchEvaluator(_ experiments.Ex2Options, _ float64, engine string) (func(rs teta.RunSpec) (float64, error), error) {
-	f := curFaults.Load()
-	return func(rs teta.RunSpec) (float64, error) {
-		if engine == "test-hang" {
-			return 0, f.hang()
-		}
-		if err := f.check(rs); err != nil {
-			return 0, err
-		}
-		d := 1e-11
-		for _, k := range []string{"W", "T", "H", "S", "Rho"} {
-			d += 1e-13 * rs.W[k]
-		}
-		return d, nil
-	}, nil
-}
-
 // memStore is an in-process macromodel store: repeated ssta runs load
 // their block macromodels instead of re-extracting them.
 type memStore struct {
@@ -164,7 +140,6 @@ type sweepFixture struct {
 	ga    *core.GAResult
 	s27   *iscas.Circuit
 	store *memStore
-	specs []teta.RunSpec
 }
 
 var (
@@ -182,7 +157,6 @@ func sweepFixtures(t *testing.T) *sweepFixture {
 				return testEngine{Engine: base, name: name, f: curFaults.Load()}, err
 			})
 		}
-		example2Evaluator = benchEvaluator
 		fx := &fixture
 		if fx.path, fixtureErr = core.BuildChain(core.ChainSpec{
 			Cells: []string{"INV", "INV"}, Drive: 2, ElemsBetween: 4, WireLengthUm: 60,
@@ -212,7 +186,6 @@ func sweepFixtures(t *testing.T) *sweepFixture {
 			return
 		}
 		fx.store = &memStore{m: map[string][]byte{}}
-		fx.specs = experiments.Example2Samples(experiments.Ex2Options{Samples: 6, Seed: 1})
 	})
 	if fixtureErr != nil {
 		t.Fatal(fixtureErr)
@@ -279,21 +252,6 @@ func sweepDrivers(fx *sweepFixture) []sweepDriver {
 				}
 				return fmt.Sprintf("%+v %+v %d", r.Sinks, r.Chip, r.TotalSC), r.Failures, nil
 			}},
-		// The bench engine row always skips failing samples and journals
-		// without a Limit; it reports failures as per-class counters.
-		{name: "bench-engine", samples: 6,
-			run: func(ctx context.Context, rc core.RunConfig) (string, core.FailureReport, error) {
-				row, snap, err := benchEngine(ctx, experiments.Ex2Options{Samples: 6, Seed: 1}, 40, rc.Engine, fx.specs, rc.SampleTimeout, rc.Checkpoint)
-				if err != nil {
-					return "", core.FailureReport{}, err
-				}
-				rc.Metrics.Merge(snap)
-				rep := core.FailureReport{Policy: core.Skip, Skipped: int(row.Skipped)}
-				for class, n := range row.Failures {
-					rep.Classes = append(rep.Classes, core.FailureClassStats{Class: core.FailureClass(class), Count: int(n)})
-				}
-				return fmt.Sprintf("%d %v", row.Skipped, row.Failures), rep, nil
-			}},
 	}
 }
 
@@ -310,9 +268,8 @@ func TestSweepPolicies(t *testing.T) {
 	fx := sweepFixtures(t)
 	for _, d := range sweepDrivers(fx) {
 		t.Run(d.name, func(t *testing.T) {
-			// A journal path makes every driver sweep once per run (the
-			// unjournaled bench row adds a warm-up pass), so scripted
-			// failures map one to one onto skips.
+			// The timeout, skip and fault-schedule rows journal their
+			// runs, so each policy is also checked with journaling on.
 			journal := func(t *testing.T) *checkpoint.Config {
 				return &checkpoint.Config{Path: filepath.Join(t.TempDir(), "journal.ck")}
 			}
@@ -438,10 +395,13 @@ func TestSweepPolicies(t *testing.T) {
 						}
 					}
 				} else {
+					// Cancel only once a durable cut exists: the journal's
+					// prefix has passed sample 0. Progress runs on the
+					// delivery goroutine right after each flush, so the
+					// cancel always lands inside the sweep.
 					ctx, cancel := context.WithCancel(context.Background())
-					var evals atomic.Int64
-					f.onEval = func() {
-						if evals.Add(1) == int64(d.samples/2) {
+					rc.Progress = func(int, int) {
+						if snap, _, err := checkpoint.Load(path, nil); err == nil && snap.Next > 0 {
 							cancel()
 						}
 					}
@@ -450,7 +410,7 @@ func TestSweepPolicies(t *testing.T) {
 						t.Fatalf("want the first leg canceled, got %v", err)
 					}
 					cancel()
-					f.onEval = nil
+					rc.Progress = nil
 				}
 				m := &runner.Metrics{}
 				rc.Checkpoint = &checkpoint.Config{Path: path, Every: 1, Resume: true}

@@ -57,8 +57,8 @@ type Store struct {
 	fs  faultinj.FS
 
 	// Metrics, when non-nil, mirrors the hit/miss/corrupt counters into
-	// the shared run metrics so they surface in cost reports and
-	// BENCH_mc.json. Set it before the first GetOrCompute.
+	// the shared run metrics so they surface in cost reports and job
+	// results. Set it before the first GetOrCompute.
 	Metrics *runner.Metrics
 
 	hits    atomic.Int64

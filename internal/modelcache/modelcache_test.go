@@ -204,7 +204,7 @@ func TestSingleFlight(t *testing.T) {
 
 // TestMetricsMirrored: when a runner.Metrics sink is attached, the
 // store's counters surface in its snapshot (that is how they reach cost
-// reports and BENCH_mc.json).
+// reports and job results).
 func TestMetricsMirrored(t *testing.T) {
 	dir := t.TempDir()
 	s := mustOpen(t, dir)
