@@ -10,6 +10,7 @@ import (
 	"fmt"
 	"math/rand"
 	"runtime"
+	"sort"
 	"testing"
 	"time"
 
@@ -202,7 +203,10 @@ func BenchmarkAblationOrder(b *testing.B) {
 }
 
 // BenchmarkAblationFilter compares the stabilization variants on the
-// Example-1 unstable model (β scaling of eqs. 22–23 vs DC shift).
+// Example-1 unstable model (β scaling of eqs. 22–23 vs DC shift). It
+// evaluates through RunExact: the per-sample extraction is where the
+// model goes unstable at p = 0.1, while the characterize-once
+// macromodel's first-order poles stay stable there.
 func BenchmarkAblationFilter(b *testing.B) {
 	vromStage := func(useBeta bool) (*teta.Stage, [][]circuit.Waveform) {
 		load := experiments.BuildExample1Load()
@@ -228,7 +232,7 @@ func BenchmarkAblationFilter(b *testing.B) {
 			b.ResetTimer()
 			var maxErr float64
 			for i := 0; i < b.N; i++ {
-				res, err := st.Run(rs)
+				res, err := st.RunExact(rs)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -403,10 +407,12 @@ func BenchmarkGAvsMCPathCost(b *testing.B) {
 
 // BenchmarkMCWorkers measures the parallel runtime on a 1000-sample
 // Monte-Carlo run over a short chain: serial vs all cores, plus the
-// scaling gate. speedup compares 1 worker with 4, checks the two
-// summaries are bit-identical (same seed ⇒ same plan, ordered streaming
-// sink) and fails below 1.5×. A host with GOMAXPROCS < 4 cannot show
-// that speedup, so there it skips instead of reporting a number.
+// scaling gate. speedup times five 1-worker/4-worker pairs, alternating
+// which side runs first, checks each pair's summaries are bit-identical
+// (same seed ⇒ same plan, ordered streaming sink) and fails when the
+// median ratio is below 1.5×: one pair alone swings widely on a shared
+// host. A host with GOMAXPROCS < 4 cannot show that speedup, so there it
+// skips instead of reporting a number.
 func BenchmarkMCWorkers(b *testing.B) {
 	p, err := core.BuildChain(core.ChainSpec{
 		Cells: []string{"INV", "INV"}, Drive: 2, ElemsBetween: 4,
@@ -440,19 +446,33 @@ func BenchmarkMCWorkers(b *testing.B) {
 		if procs := runtime.GOMAXPROCS(0); procs < 4 {
 			b.Skipf("GOMAXPROCS %d: need >= 4 to assert a 4-worker speedup", procs)
 		}
-		for i := 0; i < b.N; i++ {
+		timed := func(workers int) (*core.MCResult, float64) {
 			t0 := time.Now()
-			serial := run(b, 1)
-			ts := time.Since(t0)
-			t1 := time.Now()
-			par := run(b, 4)
-			tp := time.Since(t1)
-			if serial.Summary != par.Summary {
-				b.Fatal("parallel summary differs from serial")
+			res := run(b, workers)
+			return res, time.Since(t0).Seconds()
+		}
+		const pairs = 5
+		for i := 0; i < b.N; i++ {
+			ratios := make([]float64, pairs)
+			for k := range ratios {
+				var serial, par *core.MCResult
+				var ts, tp float64
+				if k%2 == 0 {
+					serial, ts = timed(1)
+					par, tp = timed(4)
+				} else {
+					par, tp = timed(4)
+					serial, ts = timed(1)
+				}
+				if serial.Summary != par.Summary {
+					b.Fatal("parallel summary differs from serial")
+				}
+				ratios[k] = ts / tp
 			}
-			speedup := ts.Seconds() / tp.Seconds()
+			sort.Float64s(ratios)
+			speedup := ratios[pairs/2]
 			if speedup < 1.5 {
-				b.Fatalf("4-worker speedup %.2fx is below the 1.5x floor (GOMAXPROCS %d)", speedup, runtime.GOMAXPROCS(0))
+				b.Fatalf("median 4-worker speedup %.2fx is below the 1.5x floor (pairs %.2f, GOMAXPROCS %d)", speedup, ratios, runtime.GOMAXPROCS(0))
 			}
 			b.ReportMetric(speedup, "x-speedup")
 		}

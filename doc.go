@@ -153,8 +153,12 @@
 //
 //	teta-fast     characterize-once variational macromodels (default)
 //	teta-exact    per-sample pole/residue extraction, same SC transient
-//	teta-direct   dense direct-form evaluation (diagnostic; not in ladders)
+//	teta-direct   exact per-sample re-reduction, same SC transient
+//	              (diagnostic; not in ladders)
 //	spice-golden  transistor-level Newton transient per sample (reference)
+//
+// The three teta engines share one Successive-Chords loop; they differ
+// only in where each sample's pole/residue load comes from.
 //
 // Every statistical driver (MonteCarloCtx, MonteCarloCorrelatedCtx,
 // GradientAnalysis, MonteCarloSkewCtx, WorstCase) takes an Engine name in

@@ -47,7 +47,7 @@ func TestBuildChainValidation(t *testing.T) {
 
 func TestEvaluateNominalChain(t *testing.T) {
 	p := quickChain(t, []string{"INV", "NAND2", "INV"}, 10, false)
-	ev, err := p.Evaluate(teta.RunSpec{}, false)
+	ev, err := p.Evaluate(teta.RunSpec{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,18 +69,18 @@ func TestEvaluateNominalChain(t *testing.T) {
 
 func TestEvaluateMonotoneInDVT(t *testing.T) {
 	p := quickChain(t, []string{"INV", "INV"}, 10, false)
-	base, err := p.Evaluate(teta.RunSpec{}, false)
+	base, err := p.Evaluate(teta.RunSpec{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	slow, err := p.Evaluate(teta.RunSpec{DVT: 0.05}, false)
+	slow, err := p.Evaluate(teta.RunSpec{DVT: 0.05})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if slow.Delay <= base.Delay {
 		t.Fatalf("VT up must slow the path: %g vs %g", slow.Delay, base.Delay)
 	}
-	fast, err := p.Evaluate(teta.RunSpec{DL: 0.01e-6}, false)
+	fast, err := p.Evaluate(teta.RunSpec{DL: 0.01e-6})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -175,7 +175,7 @@ func TestGradientAnalysisAgainstMC(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	nom, err := p.Evaluate(teta.RunSpec{}, false)
+	nom, err := p.Evaluate(teta.RunSpec{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -330,7 +330,7 @@ func TestCellSignalTableCoversLibrary(t *testing.T) {
 func TestNonInvertingStages(t *testing.T) {
 	// BUF and XOR2(b=0) must propagate without inverting.
 	p := quickChain(t, []string{"BUF", "XOR2"}, 10, false)
-	ev, err := p.Evaluate(teta.RunSpec{}, false)
+	ev, err := p.Evaluate(teta.RunSpec{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -412,14 +412,14 @@ func TestEvaluateFailsOnTruncatedWindow(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := p.Evaluate(teta.RunSpec{}, false); err == nil {
+	if _, err := p.Evaluate(teta.RunSpec{}); err == nil {
 		t.Fatal("truncated window must error")
 	}
 }
 
 func TestEvaluateEmptyPath(t *testing.T) {
 	p := &Path{Tech: device.Tech180}
-	if _, err := p.Evaluate(teta.RunSpec{}, false); err == nil {
+	if _, err := p.Evaluate(teta.RunSpec{}); err == nil {
 		t.Fatal("empty path must error")
 	}
 }

@@ -13,7 +13,7 @@ func TestOAI21ExtremeCorners(t *testing.T) {
 	for _, dl := range []float64{-3, -1.5, 0, 1.5, 3} {
 		for _, vt := range []float64{-3, -1.5, 0, 1.5, 3} {
 			rs := teta.RunSpec{DL: dl * 0.33 * tech.TolDL, DVT: vt * 0.33 * tech.TolDVT}
-			if _, err := p.Evaluate(rs, false); err != nil {
+			if _, err := p.Evaluate(rs); err != nil {
 				t.Errorf("dl=%+.1fσ vt=%+.1fσ: %v", dl, vt, err)
 			}
 		}
@@ -28,7 +28,7 @@ func TestAllCellsExtremeCorners(t *testing.T) {
 		for _, dl := range []float64{-3, 3} {
 			for _, vt := range []float64{-3, 3} {
 				rs := teta.RunSpec{DL: dl * 0.33 * tech.TolDL, DVT: vt * 0.33 * tech.TolDVT}
-				if _, err := p.Evaluate(rs, false); err != nil {
+				if _, err := p.Evaluate(rs); err != nil {
 					t.Errorf("%s dl=%+.0fσ vt=%+.0fσ: %v", name, dl, vt, err)
 				}
 			}

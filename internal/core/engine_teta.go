@@ -30,11 +30,12 @@ func init() {
 }
 
 // newTetaEngine builds a pathEngine whose stage waveform comes from one
-// of the TETA evaluation strategies. Only the fast strategy uses caller
-// scratch (the exact/direct strategies rebuild their models per sample,
-// so there is nothing to reuse); its NewScratch hands out a full
-// PathScratch so a Monte-Carlo worker reuses each stage's convolver memo
-// and solver workspaces across samples.
+// of the TETA evaluation strategies. All three run the stage's one SC
+// loop. Only the fast strategy takes caller scratch: its NewScratch hands
+// out a full PathScratch so a Monte-Carlo worker reuses each stage's
+// macromodel buffer, convolver memo and solver workspaces across
+// samples. The exact/direct strategies form a fresh model per sample and
+// draw their loop scratch from each stage's pool.
 func newTetaEngine(p *Path, name string, cost int, run func(*teta.Stage, *teta.Scratch, teta.RunSpec) (*teta.Result, error)) Engine {
 	e := &pathEngine{p: p, name: name, cost: cost}
 	if name == EngineTetaFast {

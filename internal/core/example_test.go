@@ -21,7 +21,7 @@ func Example() {
 	if err != nil {
 		panic(err)
 	}
-	nom, err := path.Evaluate(teta.RunSpec{}, false)
+	nom, err := path.Evaluate(teta.RunSpec{})
 	if err != nil {
 		panic(err)
 	}

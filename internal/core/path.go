@@ -180,47 +180,14 @@ func (p *Path) NewScratch() *PathScratch {
 }
 
 // Evaluate propagates the stimulus through every stage at the given
-// sample. When direct is true the interconnect models are exactly
-// re-reduced per sample instead of using the variational library (the
-// accuracy reference). It is a convenience wrapper over the teta-fast /
-// teta-direct engines; engine-generic callers use Path.Engine and
-// Engine.EvalPath directly.
-func (p *Path) Evaluate(rs teta.RunSpec, direct bool) (*PathEval, error) {
-	return p.EvaluateWith(nil, rs, direct)
-}
-
-// EvaluateExact propagates the stimulus through every stage using exact
-// per-sample pole/residue extraction from the variational library (the
-// teta-exact engine): the reduced system is evaluated at the sample's
-// parameter values and a fresh extraction replaces the first-order
-// macromodel update. It is the first rung of the default Degrade ladder —
-// slower than the fast path, but immune to macromodel-truncation and
-// DC-correction failures.
-func (p *Path) EvaluateExact(rs teta.RunSpec) (*PathEval, error) {
-	e, err := p.Engine(EngineTetaExact)
+// sample on the teta-fast engine. Engine-generic callers use Path.Engine
+// and Engine.EvalPath directly.
+func (p *Path) Evaluate(rs teta.RunSpec) (*PathEval, error) {
+	e, err := p.Engine(EngineTetaFast)
 	if err != nil {
 		return nil, err
 	}
 	return e.EvalPath(nil, rs)
-}
-
-// EvaluateWith is Evaluate with caller-owned scratch: repeated calls
-// with the same PathScratch reuse each stage's convolver memo and
-// solver workspaces instead of hitting the stages' shared pools. sc may
-// be nil (plain Evaluate behavior).
-func (p *Path) EvaluateWith(sc *PathScratch, rs teta.RunSpec, direct bool) (*PathEval, error) {
-	name := EngineTetaFast
-	if direct {
-		name = EngineTetaDirect
-	}
-	e, err := p.Engine(name)
-	if err != nil {
-		return nil, err
-	}
-	if sc == nil {
-		return e.EvalPath(nil, rs)
-	}
-	return e.EvalPath(sc, rs)
 }
 
 // ChainSpec describes a benchmark path: a sequence of library cells with

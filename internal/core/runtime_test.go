@@ -210,7 +210,7 @@ func TestGradientAnalysisMetrics(t *testing.T) {
 // from the TETA engine through PathEval.
 func TestPathEvalLinearSolves(t *testing.T) {
 	p := quickChain(t, []string{"INV", "INV"}, 10, false)
-	ev, err := p.Evaluate(teta.RunSpec{}, false)
+	ev, err := p.Evaluate(teta.RunSpec{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -297,7 +297,7 @@ func TestFrameworkVsSpicePathDelay(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ev, err := p.Evaluate(teta.RunSpec{}, false)
+	ev, err := p.Evaluate(teta.RunSpec{})
 	if err != nil {
 		t.Fatal(err)
 	}

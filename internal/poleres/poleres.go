@@ -169,20 +169,25 @@ func (m *Macromodel) UnstablePoles() []complex128 {
 // IsStable reports whether all poles lie in the closed left half plane.
 func (m *Macromodel) IsStable() bool { return len(m.UnstablePoles()) == 0 }
 
+// Clone returns a deep copy of the macromodel.
+func (m *Macromodel) Clone() *Macromodel {
+	out := &Macromodel{Np: m.Np, D0: m.D0.Clone(), Poles: append([]complex128(nil), m.Poles...)}
+	for _, r := range m.Res {
+		out.Res = append(out.Res, r.Clone())
+	}
+	return out
+}
+
 // Dominant returns a reduced copy keeping the `keep` poles with the
 // largest DC weight |r/p| (summed over port entries), folding the dropped
 // poles' DC contribution into D0 so Z(0) is preserved — the classic
 // dominant-pole truncation used to speed up long transients. Conjugate
 // partners are kept together. keep >= len(Poles) returns a plain copy.
 func (m *Macromodel) Dominant(keep int) *Macromodel {
-	out := &Macromodel{Np: m.Np, D0: m.D0.Clone()}
 	if keep >= len(m.Poles) {
-		out.Poles = append(out.Poles, m.Poles...)
-		for _, r := range m.Res {
-			out.Res = append(out.Res, r.Clone())
-		}
-		return out
+		return m.Clone()
 	}
+	out := &Macromodel{Np: m.Np, D0: m.D0.Clone()}
 	weight := make([]float64, len(m.Poles))
 	for k, p := range m.Poles {
 		for i := 0; i < m.Np; i++ {
@@ -252,8 +257,8 @@ type StabReport struct {
 
 // StabilizeShiftInPlace is StabilizeShift mutating the receiver: unstable
 // poles are removed by compacting Poles/Res in place and their DC
-// contribution is folded into D0. Used by the per-sample fast path so a
-// reusable evaluation scratch generates no garbage.
+// contribution is folded into D0, so filtering a model held in reusable
+// evaluation scratch generates no garbage.
 func (m *Macromodel) StabilizeShiftInPlace() StabReport {
 	rep := StabReport{BetaMin: 1, BetaMax: 1}
 	keep := 0
@@ -267,9 +272,7 @@ func (m *Macromodel) StabilizeShiftInPlace() StabReport {
 				for j := 0; j < m.Np; j++ {
 					shift := -row[j] / p
 					d0[j] += real(shift)
-					if a := cmplx.Abs(shift); a > rep.DCErrBefore {
-						rep.DCErrBefore = a
-					}
+					rep.DCErrBefore = max(rep.DCErrBefore, cmplx.Abs(shift))
 				}
 			}
 			continue
@@ -352,23 +355,8 @@ func (m *Macromodel) StabilizeInPlace() StabReport {
 // variant of the paper's eq. (22) heuristic; Stabilize implements the
 // published β-scaling form.
 func (m *Macromodel) StabilizeShift() (*Macromodel, StabReport) {
-	rep := StabReport{BetaMin: 1, BetaMax: 1}
-	out := &Macromodel{Np: m.Np, D0: m.D0.Clone()}
-	for k, p := range m.Poles {
-		if real(p) > 0 {
-			rep.Removed = append(rep.Removed, p)
-			for i := 0; i < m.Np; i++ {
-				for j := 0; j < m.Np; j++ {
-					shift := -m.Res[k].At(i, j) / p
-					out.D0.Add(i, j, real(shift))
-					rep.DCErrBefore = math.Max(rep.DCErrBefore, cmplx.Abs(shift))
-				}
-			}
-		} else {
-			out.Poles = append(out.Poles, p)
-			out.Res = append(out.Res, m.Res[k].Clone())
-		}
-	}
+	out := m.Clone()
+	rep := out.StabilizeShiftInPlace()
 	return out, rep
 }
 
@@ -377,48 +365,7 @@ func (m *Macromodel) StabilizeShift() (*Macromodel, StabReport) {
 // common factor β_ij of eq. (23) so Z_ij(0) is preserved. Returns a new
 // macromodel; the receiver is unchanged.
 func (m *Macromodel) Stabilize() (*Macromodel, StabReport) {
-	rep := StabReport{BetaMin: 1, BetaMax: 1}
-	out := &Macromodel{Np: m.Np, D0: m.D0.Clone()}
-	var unstableIdx []int
-	for k, p := range m.Poles {
-		if real(p) > 0 {
-			unstableIdx = append(unstableIdx, k)
-			rep.Removed = append(rep.Removed, p)
-		} else {
-			out.Poles = append(out.Poles, p)
-			out.Res = append(out.Res, m.Res[k].Clone())
-		}
-	}
-	if len(unstableIdx) == 0 {
-		return out, rep
-	}
-	// β_ij = (Σ_all r/p) / (Σ_stable r/p), per entry (eq. 23).
-	for i := 0; i < m.Np; i++ {
-		for j := 0; j < m.Np; j++ {
-			all := complex(0, 0)
-			stable := complex(0, 0)
-			for k, p := range m.Poles {
-				t := m.Res[k].At(i, j) / p
-				all += t
-				if real(p) <= 0 {
-					stable += t
-				}
-			}
-			rep.DCErrBefore = math.Max(rep.DCErrBefore, cmplx.Abs(all-stable))
-			if cmplx.Abs(stable) == 0 {
-				continue // nothing left to scale on this entry
-			}
-			beta := real(all / stable)
-			if beta < rep.BetaMin {
-				rep.BetaMin = beta
-			}
-			if beta > rep.BetaMax {
-				rep.BetaMax = beta
-			}
-			for k := range out.Poles {
-				out.Res[k].Set(i, j, out.Res[k].At(i, j)*complex(beta, 0))
-			}
-		}
-	}
+	out := m.Clone()
+	rep := out.StabilizeInPlace()
 	return out, rep
 }

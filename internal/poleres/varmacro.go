@@ -254,15 +254,7 @@ func (v *VarMacromodel) At(w map[string]float64) (*Macromodel, error) {
 	if err != nil {
 		return nil, err
 	}
-	out := &Macromodel{
-		Np:    mac.Np,
-		D0:    mac.D0.Clone(),
-		Poles: append([]complex128(nil), mac.Poles...),
-	}
-	for _, r := range mac.Res {
-		out.Res = append(out.Res, r.Clone())
-	}
-	return out, nil
+	return mac.Clone(), nil
 }
 
 // MacroEval is a reusable per-worker evaluation buffer for a

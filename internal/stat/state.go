@@ -125,35 +125,6 @@ func (s *StreamSummary) Restore(st StreamSummaryState) {
 	s.hi.Restore(st.Hi)
 }
 
-// WeightedWelfordState is the serializable state of a WeightedWelford
-// accumulator.
-type WeightedWelfordState struct {
-	N         int     `json:"n"`
-	NonFinite int     `json:"nonfinite"`
-	SumW      float64 `json:"sumw"`
-	SumW2     float64 `json:"sumw2"`
-	Mean      float64 `json:"mean"`
-	M2        float64 `json:"m2"`
-	Min       float64 `json:"min"`
-	Max       float64 `json:"max"`
-}
-
-// State captures the accumulator for a checkpoint.
-func (w *WeightedWelford) State() WeightedWelfordState {
-	return WeightedWelfordState{
-		N: w.n, NonFinite: w.nonfinite,
-		SumW: w.sumw, SumW2: w.sumw2,
-		Mean: w.mean, M2: w.m2, Min: w.min, Max: w.max,
-	}
-}
-
-// Restore overwrites the accumulator with a captured state.
-func (w *WeightedWelford) Restore(s WeightedWelfordState) {
-	w.n, w.nonfinite = s.N, s.NonFinite
-	w.sumw, w.sumw2 = s.SumW, s.SumW2
-	w.mean, w.m2, w.min, w.max = s.Mean, s.M2, s.Min, s.Max
-}
-
 // WeightedMomentsState is the serializable state of a WeightedMoments
 // accumulator; the exact-sum partial lists are captured verbatim.
 type WeightedMomentsState struct {

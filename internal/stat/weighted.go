@@ -16,7 +16,7 @@ import (
 //   - Feeding weight 1 for every observation reproduces the unweighted
 //     accumulator bit for bit (property-tested): the weighted paths are
 //     written so that each floating-point operation degenerates to the
-//     exact instruction sequence of Welford / P2Quantile / Moments when
+//     exact instruction sequence of P2Quantile / Moments when
 //     w == 1.
 //   - Invalid inputs are rejected and counted, never accumulated. A
 //     weight must be finite and non-negative; a NaN or negative weight
@@ -25,10 +25,9 @@ import (
 //     counter non-finite observations use today.
 //
 // WeightedMoments and ISEstimator additionally accumulate on ExactSum,
-// so Merge is exact and any sharding of a sample stream across
-// accumulators reads back bit-identical statistics (partition
-// invariance) — the property that lets importance-sampled sweeps share
-// the Monte-Carlo runtime's sharded-accumulator machinery.
+// so their sums are exact and independent of the order samples arrive
+// in. Importance-sampled sweeps feed every accumulator here at the
+// sweep's ordered drain, one sample at a time.
 
 // weightOK reports whether a likelihood-ratio weight is usable: finite
 // and non-negative. (Zero is allowed — deep-tail likelihood ratios can
@@ -37,93 +36,10 @@ func weightOK(w float64) bool {
 	return !math.IsNaN(w) && !math.IsInf(w, 0) && w >= 0
 }
 
-// WeightedWelford accumulates the weighted mean and the
-// frequency-weighted (reliability) sample variance online, plus min/max,
-// in O(1) memory — West's weighted extension of Welford's algorithm.
-// With unit weights it reduces bit-exactly to Welford. It has no Merge:
-// like Welford, it is an ordered streaming accumulator; use
-// WeightedMoments when shards must be folded together exactly.
-type WeightedWelford struct {
-	n           int
-	nonfinite   int
-	sumw, sumw2 float64
-	mean, m2    float64
-	min, max    float64
-}
-
-// Add folds one (observation, weight) pair into the accumulator.
-// Non-finite observations and non-finite or negative weights are
-// rejected and counted in Rejected.
-func (w *WeightedWelford) Add(x, wt float64) {
-	if math.IsNaN(x) || math.IsInf(x, 0) || !weightOK(wt) {
-		w.nonfinite++
-		return
-	}
-	if w.n == 0 {
-		w.min, w.max = x, x
-	} else {
-		if x < w.min {
-			w.min = x
-		}
-		if x > w.max {
-			w.max = x
-		}
-	}
-	w.n++
-	w.sumw += wt
-	w.sumw2 += wt * wt
-	if w.sumw <= 0 {
-		// All weight so far is zero: the weighted mean is undefined and
-		// the update below would divide 0/0. Count the observation (it
-		// still bounds min/max) and leave the moments untouched.
-		return
-	}
-	d := x - w.mean
-	w.mean += d * wt / w.sumw
-	w.m2 += wt * d * (x - w.mean)
-}
-
-// N returns the accepted observation count.
-func (w *WeightedWelford) N() int { return w.n }
-
-// Rejected returns the count of observations dropped for a non-finite
-// value or an invalid weight.
-func (w *WeightedWelford) Rejected() int { return w.nonfinite }
-
-// WeightSum returns the total accepted weight.
-func (w *WeightedWelford) WeightSum() float64 { return w.sumw }
-
-// Mean returns the weighted mean Σwx/Σw (0 when no weight accepted).
-func (w *WeightedWelford) Mean() float64 { return w.mean }
-
-// Var returns the unbiased reliability-weighted sample variance
-// m2 / (Σw − Σw²/Σw). With unit weights the denominator is exactly
-// n−1, so this reduces bit-exactly to Welford.Var.
-func (w *WeightedWelford) Var() float64 {
-	if w.n < 2 || w.sumw <= 0 {
-		return 0
-	}
-	den := w.sumw - w.sumw2/w.sumw
-	if den <= 0 {
-		return 0
-	}
-	return w.m2 / den
-}
-
-// Std returns the square root of Var.
-func (w *WeightedWelford) Std() float64 { return math.Sqrt(w.Var()) }
-
-// Min returns the smallest accepted observation (0 when empty).
-func (w *WeightedWelford) Min() float64 { return w.min }
-
-// Max returns the largest accepted observation (0 when empty).
-func (w *WeightedWelford) Max() float64 { return w.max }
-
 // WeightedMoments is the order-independent weighted moment accumulator:
 // count, min/max, and exact Σw / Σw² / Σwx / Σwx² via ExactSum. Each
 // per-sample contribution is split into exact hi+lo products with FMA,
-// so the accumulated sums are exact and Merge is partition-invariant:
-// any sharding of a sample stream reads back bit-identical statistics.
+// so the accumulated sums are exact whatever order the samples arrive in.
 // Non-finite observations and invalid weights are rejected and counted.
 // The zero value is an empty accumulator.
 type WeightedMoments struct {
@@ -167,37 +83,12 @@ func (m *WeightedMoments) Add(x, w float64) {
 	addProduct(&m.sw2, w, w)
 	addProduct(&m.swx, w, x)
 	// Σw·x²: split x² exactly first, then each half against w, so the
-	// contribution is an exact multiset of partials independent of
-	// which shard the sample landed in.
+	// contribution is an exact multiset of partials.
 	hi := x * x
 	addProduct(&m.swx2, w, hi)
 	if lo := math.FMA(x, x, -hi); lo != 0 {
 		addProduct(&m.swx2, w, lo)
 	}
-}
-
-// Merge folds another accumulator into this one exactly; the merged
-// statistics are bit-identical to a single accumulator fed both sample
-// streams in any order.
-func (m *WeightedMoments) Merge(o *WeightedMoments) {
-	if o.n > 0 {
-		if m.n == 0 {
-			m.min, m.max = o.min, o.max
-		} else {
-			if o.min < m.min {
-				m.min = o.min
-			}
-			if o.max > m.max {
-				m.max = o.max
-			}
-		}
-	}
-	m.n += o.n
-	m.nonfinite += o.nonfinite
-	m.sw.Merge(&o.sw)
-	m.sw2.Merge(&o.sw2)
-	m.swx.Merge(&o.swx)
-	m.swx2.Merge(&o.swx2)
 }
 
 // N returns the accepted observation count.
@@ -261,8 +152,8 @@ func (m *WeightedMoments) Max() float64 { return m.max }
 //	SE = sqrt(Σ w²(h−p̂)²) / Σw = sqrt((1−2p̂)·Σw²h + p̂²·Σw²) / Σw
 //
 // (the expansion holds because h ∈ {0,1}). All four sums Σw, Σw², Σwh,
-// Σw²h accumulate on ExactSum, so Merge is exact and partition-
-// invariant. The estimator also reports the two standard proposal-
+// Σw²h accumulate on ExactSum, so they are exact. The estimator also
+// reports the two standard proposal-
 // quality diagnostics: ESS = (Σw)²/Σw², the equivalent number of
 // unweighted samples behind the normalization, and
 // FailESS = (Σwh)²/Σw²h, the equivalent number of unweighted *failures*
@@ -296,17 +187,6 @@ func (e *ISEstimator) Add(w float64, fail bool) {
 		e.swh.Add(w)
 		addProduct(&e.sw2h, w, w)
 	}
-}
-
-// Merge folds another estimator into this one exactly.
-func (e *ISEstimator) Merge(o *ISEstimator) {
-	e.n += o.n
-	e.fails += o.fails
-	e.nonfinite += o.nonfinite
-	e.sw.Merge(&o.sw)
-	e.sw2.Merge(&o.sw2)
-	e.swh.Merge(&o.swh)
-	e.sw2h.Merge(&o.sw2h)
 }
 
 // N returns the accepted sample count.
@@ -556,10 +436,9 @@ func (e *WeightedP2Quantile) smallValue() float64 {
 // WeightedSummary is the weighted counterpart of StreamSummary: exact
 // order-independent weighted moments (WeightedMoments) plus weighted P²
 // estimators for the median and the 5th/95th percentiles of the
-// reweighted distribution. Like StreamSummary, the moment half may be
-// sharded per worker and folded in with MergeMoments; only the P²
-// quantiles are order-sensitive and must be fed at the ordered drain.
-// Non-finite observations and invalid weights are rejected and counted.
+// reweighted distribution. The P² quantiles are order-sensitive, so it
+// is fed at the ordered drain. Non-finite observations and invalid
+// weights are rejected and counted.
 type WeightedSummary struct {
 	m           WeightedMoments
 	med, lo, hi *WeightedP2Quantile
@@ -584,23 +463,6 @@ func (s *WeightedSummary) Add(x, w float64) {
 	s.lo.Add(x, w)
 	s.hi.Add(x, w)
 }
-
-// AddQuantiles folds one pair into the P² quantile estimators only —
-// the drain-side half of a sharded run whose moments arrive separately
-// via MergeMoments. Invalid pairs are ignored without counting (the
-// worker shard counts them).
-func (s *WeightedSummary) AddQuantiles(x, w float64) {
-	if math.IsNaN(x) || math.IsInf(x, 0) || !weightOK(w) {
-		return
-	}
-	s.med.Add(x, w)
-	s.lo.Add(x, w)
-	s.hi.Add(x, w)
-}
-
-// MergeMoments folds a worker-sharded WeightedMoments accumulator
-// (including its rejection count) into the sink's moment half, exactly.
-func (s *WeightedSummary) MergeMoments(m *WeightedMoments) { s.m.Merge(m) }
 
 // N returns the accepted observation count.
 func (s *WeightedSummary) N() int { return s.m.N() }

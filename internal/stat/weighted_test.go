@@ -9,34 +9,6 @@ import (
 // --- satellite property 1: all-weights-1 reduces bit-exactly to the
 // unweighted accumulators ---
 
-func TestWeightedWelfordUnitWeightsReduceToWelford(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	for trial := 0; trial < 100; trial++ {
-		n := rng.Intn(400)
-		var u Welford
-		var w WeightedWelford
-		for i := 0; i < n; i++ {
-			x := rng.NormFloat64()*1e-10 + 3e-10
-			u.Add(x)
-			w.Add(x, 1)
-		}
-		if u.N() != w.N() {
-			t.Fatalf("trial %d: N %d vs %d", trial, u.N(), w.N())
-		}
-		for name, pair := range map[string][2]float64{
-			"mean": {u.Mean(), w.Mean()},
-			"var":  {u.Var(), w.Var()},
-			"std":  {u.Std(), w.Std()},
-			"min":  {u.Min(), w.Min()},
-			"max":  {u.Max(), w.Max()},
-		} {
-			if !sameFloat(pair[0], pair[1]) {
-				t.Fatalf("trial %d: %s %v != %v", trial, name, pair[0], pair[1])
-			}
-		}
-	}
-}
-
 func TestWeightedP2UnitWeightsReduceToP2(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	for trial := 0; trial < 200; trial++ {
@@ -83,8 +55,6 @@ func TestWeightedSummaryUnitWeightsReduceToStreamSummary(t *testing.T) {
 	}
 }
 
-// --- satellite property 2: shard-merge is partition-invariant ---
-
 // weightedStream draws (observation, weight) pairs with the weight
 // scale of a deep-tail importance-sampled run.
 func weightedStream(rng *rand.Rand, n int) (xs, ws []float64) {
@@ -97,109 +67,24 @@ func weightedStream(rng *rand.Rand, n int) (xs, ws []float64) {
 	return xs, ws
 }
 
-func sameWeightedMoments(t *testing.T, label string, a, b *WeightedMoments) {
-	t.Helper()
-	if a.N() != b.N() || a.NonFinite() != b.NonFinite() {
-		t.Fatalf("%s: counts (%d,%d) vs (%d,%d)", label, a.N(), a.NonFinite(), b.N(), b.NonFinite())
-	}
-	for name, pair := range map[string][2]float64{
-		"weightsum": {a.WeightSum(), b.WeightSum()},
-		"mean":      {a.Mean(), b.Mean()},
-		"var":       {a.Var(), b.Var()},
-		"min":       {a.Min(), b.Min()},
-		"max":       {a.Max(), b.Max()},
-	} {
-		if !sameFloat(pair[0], pair[1]) {
-			t.Fatalf("%s: %s %v != %v", label, name, pair[0], pair[1])
-		}
-	}
-}
-
-func TestWeightedMomentsMergePartitionInvariant(t *testing.T) {
-	rng := rand.New(rand.NewSource(17))
-	for trial := 0; trial < 60; trial++ {
-		n := 1 + rng.Intn(300)
-		xs, ws := weightedStream(rng, n)
-
-		var ref WeightedMoments
-		for i := range xs {
-			ref.Add(xs[i], ws[i])
-		}
-
-		shards := make([]WeightedMoments, 1+rng.Intn(4))
-		for i := range xs {
-			shards[rng.Intn(len(shards))].Add(xs[i], ws[i])
-		}
-		var merged WeightedMoments
-		for _, j := range rng.Perm(len(shards)) {
-			merged.Merge(&shards[j])
-		}
-		sameWeightedMoments(t, "trial", &ref, &merged)
-	}
-}
-
-func TestISEstimatorMergePartitionInvariant(t *testing.T) {
-	rng := rand.New(rand.NewSource(19))
-	for trial := 0; trial < 60; trial++ {
-		n := 1 + rng.Intn(400)
-		_, ws := weightedStream(rng, n)
-
-		var ref ISEstimator
-		fails := make([]bool, n)
-		for i := range ws {
-			fails[i] = rng.Intn(5) == 0
-			ref.Add(ws[i], fails[i])
-		}
-
-		shards := make([]ISEstimator, 1+rng.Intn(4))
-		for i := range ws {
-			shards[rng.Intn(len(shards))].Add(ws[i], fails[i])
-		}
-		var merged ISEstimator
-		for _, j := range rng.Perm(len(shards)) {
-			merged.Merge(&shards[j])
-		}
-
-		if ref.N() != merged.N() || ref.Fails() != merged.Fails() || ref.Rejected() != merged.Rejected() {
-			t.Fatalf("trial %d: counts differ", trial)
-		}
-		for name, pair := range map[string][2]float64{
-			"prob":    {ref.Prob(), merged.Prob()},
-			"stderr":  {ref.StdErr(), merged.StdErr()},
-			"ess":     {ref.ESS(), merged.ESS()},
-			"failess": {ref.FailESS(), merged.FailESS()},
-		} {
-			if !sameFloat(pair[0], pair[1]) {
-				t.Fatalf("trial %d: %s %v != %v", trial, name, pair[0], pair[1])
-			}
-		}
-	}
-}
-
 // --- satellite property 3: invalid weights are rejected and counted
 // like non-finite observations ---
 
 func TestWeightedAccumulatorsRejectInvalidWeights(t *testing.T) {
 	bad := []float64{math.NaN(), math.Inf(1), math.Inf(-1), -0.5}
 
-	var ww WeightedWelford
 	var wm WeightedMoments
 	var is ISEstimator
 	ws := NewWeightedSummary()
-	ww.Add(1, 1)
 	wm.Add(1, 1)
 	is.Add(1, true)
 	ws.Add(1, 1)
 	for _, b := range bad {
-		ww.Add(2, b)
 		wm.Add(2, b)
 		is.Add(b, true)
 		ws.Add(2, b)
 	}
 
-	if ww.Rejected() != len(bad) || ww.N() != 1 {
-		t.Fatalf("WeightedWelford: rejected=%d n=%d", ww.Rejected(), ww.N())
-	}
 	if wm.NonFinite() != len(bad) || wm.N() != 1 {
 		t.Fatalf("WeightedMoments: nonfinite=%d n=%d", wm.NonFinite(), wm.N())
 	}
@@ -212,15 +97,15 @@ func TestWeightedAccumulatorsRejectInvalidWeights(t *testing.T) {
 
 	// The rejected pairs must not have perturbed the statistics: the
 	// accumulators read back as if only the first pair was ever added.
-	if !sameFloat(ww.Mean(), 1) || !sameFloat(wm.Mean(), 1) || !sameFloat(is.Prob(), 1) {
-		t.Fatalf("rejected weights leaked into statistics: %v %v %v", ww.Mean(), wm.Mean(), is.Prob())
+	if !sameFloat(wm.Mean(), 1) || !sameFloat(is.Prob(), 1) {
+		t.Fatalf("rejected weights leaked into statistics: %v %v", wm.Mean(), is.Prob())
 	}
 
 	// A zero weight is legal (deep-tail likelihood ratios underflow):
 	// accepted, not counted as a rejection.
-	ww.Add(5, 0)
-	if ww.Rejected() != len(bad) || ww.N() != 2 {
-		t.Fatalf("zero weight mis-handled: rejected=%d n=%d", ww.Rejected(), ww.N())
+	wm.Add(5, 0)
+	if wm.NonFinite() != len(bad) || wm.N() != 2 {
+		t.Fatalf("zero weight mis-handled: rejected=%d n=%d", wm.NonFinite(), wm.N())
 	}
 }
 
@@ -376,40 +261,6 @@ func TestISEstimatorStateRoundTrip(t *testing.T) {
 		if !sameFloat(ref.Prob(), b.Prob()) || !sameFloat(ref.StdErr(), b.StdErr()) ||
 			!sameFloat(ref.ESS(), b.ESS()) || !sameFloat(ref.FailESS(), b.FailESS()) {
 			t.Fatalf("trial %d: resumed estimator differs", trial)
-		}
-	}
-}
-
-func TestWeightedWelfordStateRoundTrip(t *testing.T) {
-	rng := rand.New(rand.NewSource(37))
-	for trial := 0; trial < 60; trial++ {
-		n := rng.Intn(200)
-		xs := randomStream(rng, n)
-		_, ws := weightedStream(rng, n)
-		k := 0
-		if n > 0 {
-			k = rng.Intn(n + 1)
-		}
-
-		var ref, a, b WeightedWelford
-		for i := 0; i < n; i++ {
-			ref.Add(xs[i], ws[i])
-		}
-		for i := 0; i < k; i++ {
-			a.Add(xs[i], ws[i])
-		}
-		b.Restore(jsonRoundTrip(t, a.State()))
-		for i := k; i < n; i++ {
-			b.Add(xs[i], ws[i])
-		}
-
-		if ref.N() != b.N() || ref.Rejected() != b.Rejected() {
-			t.Fatalf("trial %d: counts differ", trial)
-		}
-		if !sameFloat(ref.Mean(), b.Mean()) || !sameFloat(ref.Var(), b.Var()) ||
-			!sameFloat(ref.Min(), b.Min()) || !sameFloat(ref.Max(), b.Max()) ||
-			!sameFloat(ref.WeightSum(), b.WeightSum()) {
-			t.Fatalf("trial %d: resumed accumulator differs", trial)
 		}
 	}
 }

@@ -382,16 +382,9 @@ func (d *Driver) termV(t terminal, unk []float64, vin []float64) float64 {
 	}
 }
 
-// rhs evaluates every device at the given local voltages and accumulates
-// the chord Norton right-hand side. Returns b (length nUnk).
-func (d *Driver) rhs(unk []float64, vinNew []float64, dc bool, st *driverState) []float64 {
-	b := make([]float64, d.nUnk)
-	d.rhsInto(b, unk, vinNew, dc, st)
-	return b
-}
-
-// rhsInto is rhs writing into a caller-owned buffer — the allocation-free
-// form the per-timestep SC loop uses. b is zeroed first.
+// rhsInto evaluates every device at the given local voltages and
+// accumulates the chord Norton right-hand side into b (length nUnk),
+// which is zeroed first.
 func (d *Driver) rhsInto(b []float64, unk []float64, vinNew []float64, dc bool, st *driverState) {
 	for i := range b {
 		b[i] = 0
@@ -443,25 +436,9 @@ func (d *Driver) rhsInto(b []float64, unk []float64, vinNew []float64, dc bool, 
 	}
 }
 
-// norton computes the Norton source current I_N = b_o − Aoi·Aii⁻¹·b_i for
-// the current right-hand side.
-func (d *Driver) norton(b []float64, dc bool) float64 {
-	bo := b[d.outIdx]
-	if d.nUnk == 1 {
-		return bo
-	}
-	bi := b[:d.outIdx]
-	var x []float64
-	if dc {
-		x = d.dcAii.Solve(bi)
-		return bo - mat.Dot(d.dcAoi, x)
-	}
-	x = d.aii.Solve(bi)
-	return bo - mat.Dot(d.aoi, x)
-}
-
-// nortonS is norton with a caller-owned solve scratch xs (length outIdx),
-// so the per-iteration Norton extraction allocates nothing.
+// nortonS computes the Norton source current I_N = b_o − Aoi·Aii⁻¹·b_i
+// for the right-hand side b, using xs (length outIdx) as the solve
+// scratch.
 func (d *Driver) nortonS(b, xs []float64, dc bool) float64 {
 	bo := b[d.outIdx]
 	if d.nUnk == 1 {
@@ -476,9 +453,9 @@ func (d *Driver) nortonS(b, xs []float64, dc bool) float64 {
 	return bo - mat.Dot(d.aoi, xs)
 }
 
-// internalsInto is internals writing the recovered internal voltages into
-// dst (length outIdx; may be the unknown vector's internal prefix), using
-// bs (length outIdx) as the right-hand-side scratch.
+// internalsInto recovers the internal node voltages for output voltage
+// vout into dst (length outIdx; may be the unknown vector's internal
+// prefix), using bs (length outIdx) as the right-hand-side scratch.
 func (d *Driver) internalsInto(dst, bs, b []float64, vout float64, dc bool) {
 	if d.nUnk == 1 {
 		return
@@ -497,25 +474,6 @@ func (d *Driver) internalsInto(dst, bs, b []float64, vout float64, dc bool) {
 	d.aii.SolveInto(dst, bs)
 }
 
-// internals recovers the internal node voltages given the output voltage.
-func (d *Driver) internals(b []float64, vout float64, dc bool) []float64 {
-	if d.nUnk == 1 {
-		return nil
-	}
-	bi := make([]float64, d.outIdx)
-	copy(bi, b[:d.outIdx])
-	if dc {
-		for i := range bi {
-			bi[i] -= d.dcAio[i] * vout
-		}
-		return d.dcAii.Solve(bi)
-	}
-	for i := range bi {
-		bi[i] -= d.aio[i] * vout
-	}
-	return d.aii.Solve(bi)
-}
-
 // commit stores the converged step state: internal voltages, output
 // voltage, input values and capacitor histories.
 func (d *Driver) commit(unk []float64, vout float64, vin []float64, st *driverState) {
@@ -528,16 +486,4 @@ func (d *Driver) commit(unk []float64, vout float64, vin []float64, st *driverSt
 	for ci, c := range d.caps {
 		st.dPrev[ci] = d.termV(c.a, full, vin) - d.termV(c.b, full, vin)
 	}
-}
-
-// maxChordError returns a diagnostic: the largest |ID| the chords must
-// cover, used by tests.
-func (d *Driver) maxChord() float64 {
-	mx := 0.0
-	for _, dev := range d.devs {
-		if dev.chord > mx {
-			mx = dev.chord
-		}
-	}
-	return mx
 }

@@ -24,30 +24,29 @@ func variationalLineStage(t *testing.T, cfg Config) *Stage {
 	return st
 }
 
+// TestStabilizationVariantsBothRun runs both stability-filter variants on
+// a sample whose exactly extracted model has a right-half-plane pole:
+// each must remove it, and the β scaling and the DC shift must give
+// different waveforms.
 func TestStabilizationVariantsBothRun(t *testing.T) {
-	in := [][]circuit.Waveform{{circuit.SatRamp{V0: 0, V1: 1.8, Start: 0.3e-9, Slew: 0.1e-9}}}
-	w := map[string]float64{interconnect.ParamW: 0.5}
-	cfgShift := Config{Tech: device.Tech180, DT: 4e-12, TStop: 1.5e-9, Order: 4}
-	cfgBeta := cfgShift
-	cfgBeta.UseBetaStab = true
-	stShift := variationalLineStage(t, cfgShift)
-	stBeta := variationalLineStage(t, cfgBeta)
-	r1, err := stShift.Run(RunSpec{W: w, Inputs: in})
-	if err != nil {
-		t.Fatal(err)
-	}
-	r2, err := stBeta.Run(RunSpec{W: w, Inputs: in})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Both must produce full transitions with matching endpoints.
-	for _, r := range []*Result{r1, r2} {
-		if r.PortV[1][0] < 1.7 {
-			t.Fatalf("initial value %g", r.PortV[1][0])
+	in := [][]circuit.Waveform{{circuit.SatRamp{V0: 0, V1: 3.3, Start: 1e-9, Slew: 0.5e-9}}}
+	rs := RunSpec{W: map[string]float64{"p": 0.1}, Inputs: in}
+	var results []*Result
+	for _, beta := range []bool{false, true} {
+		st := unstableStage(t, false)
+		st.cfg.UseBetaStab = beta // read only when a sample runs
+		res, err := st.RunExact(rs)
+		if err != nil {
+			t.Fatalf("beta=%v: %v", beta, err)
 		}
-		if fin := r.PortV[1][len(r.T)-1]; fin > 0.1 {
-			t.Fatalf("final value %g", fin)
+		if res.Stats.UnstablePoles == 0 {
+			t.Fatalf("beta=%v: the filter removed no pole", beta)
 		}
+		results = append(results, res)
+	}
+	shift, beta := results[0], results[1]
+	if sameResult(shift, beta) {
+		t.Fatal("the shift and β variants produced identical waveforms")
 	}
 }
 

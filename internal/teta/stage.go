@@ -8,7 +8,6 @@ import (
 
 	"lcsim/internal/circuit"
 	"lcsim/internal/device"
-	"lcsim/internal/mat"
 	"lcsim/internal/mor"
 	"lcsim/internal/poleres"
 )
@@ -31,9 +30,8 @@ var (
 )
 
 // scDivergeLimit is the port-voltage update magnitude (volts) past which
-// the SC iteration is declared divergent rather than merely slow. It is
-// the single divergence threshold shared by the exact (runROM) and fast
-// (runFast) paths, so the two guards cannot drift apart.
+// the SC iteration is declared divergent rather than merely slow. The
+// stage's one SC loop (simulate) applies it on every evaluation path.
 const scDivergeLimit = 1e6
 
 // scDiverged reports whether an SC port-voltage update indicates
@@ -99,8 +97,9 @@ type Stage struct {
 	varmac  *poleres.VarMacromodel // nil → per-sample extraction fallback
 	gout    []float64
 
-	// pool recycles evaluation scratch for the plain Run API; callers that
-	// manage workers explicitly thread a NewScratch through RunWith instead.
+	// pool recycles evaluation scratch for the entry points called without
+	// one (Run, RunExact, RunDirect, PrimeDC); callers that manage workers
+	// explicitly thread a NewScratch through RunWith instead.
 	pool sync.Pool
 
 	// warm is the primed DC operating point (see PrimeDC). It is written
@@ -236,29 +235,95 @@ type RunSpec struct {
 }
 
 // Run simulates the stage for one sample (the paper's Table 1
-// "Evaluation" steps 1–4). When the variational macromodel is available
-// the sample is evaluated on the characterize-once fast path with pooled
-// scratch; otherwise the library is evaluated and the pole/residue form
-// extracted per sample (see RunExact).
-func (st *Stage) Run(rs RunSpec) (*Result, error) {
+// "Evaluation" steps 1–4) on pooled scratch and returns a caller-owned
+// result. The sample's load comes from the characterize-once variational
+// macromodel when it is available, and from a per-sample extraction (see
+// RunExact) otherwise.
+func (st *Stage) Run(rs RunSpec) (*Result, error) { return st.RunWith(nil, rs) }
+
+// RunWith is Run with a caller-owned evaluation scratch (NewScratch),
+// letting a worker loop evaluate many samples with an allocation-free
+// timestep loop. The returned Result's waveform arrays are backed by the
+// scratch and remain valid only until the next run with the same scratch
+// — consume (or copy) the result before reusing the scratch. A nil
+// scratch behaves like Run, whose results are always caller-owned.
+func (st *Stage) RunWith(sc *Scratch, rs RunSpec) (*Result, error) {
+	return st.run(sc, rs, st.macromodel)
+}
+
+// RunExact evaluates one sample through the per-sample extraction path —
+// variational library evaluation followed by a full pole/residue
+// extraction (dense LU + eigendecomposition) — regardless of whether the
+// characterize-once macromodel is available, and runs the same
+// Successive-Chords loop as Run on it. It is the accuracy reference for
+// the fast path, the baseline of the characterization-speedup benchmark,
+// and the degradation rung for samples whose fast-path evaluation fails
+// (e.g. a singular Gr(w) in the macromodel's DC correction): the exact
+// extraction does not share the macromodel's first-order truncation, so
+// it can succeed where the fast path cannot. It draws scratch from the
+// stage's pool and returns a caller-owned result.
+func (st *Stage) RunExact(rs RunSpec) (*Result, error) { return st.run(nil, rs, st.extract) }
+
+// RunDirect recharacterizes the ROM exactly at the sample (full
+// re-reduction with exact element values) and simulates it like
+// RunExact — the accuracy reference used by the Example-2 histogram
+// comparison.
+func (st *Stage) RunDirect(rs RunSpec) (*Result, error) { return st.run(nil, rs, st.rereduce) }
+
+// run evaluates one sample: model forms its pole/residue load (possibly
+// in sc's buffers) and simulate runs the transient against it. A nil sc
+// borrows a scratch from the stage's pool; the result is detached from
+// it before it returns to the pool, where another goroutine may reuse it.
+func (st *Stage) run(sc *Scratch, rs RunSpec, model func(*Scratch, map[string]float64) (*poleres.Macromodel, error)) (*Result, error) {
 	if err := st.checkInputs(rs); err != nil {
 		return nil, err
 	}
-	if st.varmac == nil {
-		// Evaluate the variational library and stabilize.
-		rom := st.varrom.At(rs.W)
-		return st.runROM(rom, rs)
+	pooled := sc == nil
+	if pooled {
+		sc = st.getScratch()
+		defer st.pool.Put(sc)
 	}
-	sc := st.getScratch()
-	res, err := st.runFast(sc, rs)
-	if res != nil {
-		// The fast path's Result is backed by the scratch; detach a copy
-		// before the scratch returns to the pool and another goroutine
-		// may overwrite it.
+	pr, err := model(sc, rs.W)
+	if err != nil {
+		return nil, err
+	}
+	res, err := st.simulate(sc, pr, rs)
+	if err != nil {
+		return nil, err
+	}
+	if pooled {
 		res = res.detach()
 	}
-	st.pool.Put(sc)
-	return res, err
+	return res, nil
+}
+
+// macromodel evaluates the characterize-once variational macromodel at w
+// into sc, or extracts per sample when the stage has none.
+func (st *Stage) macromodel(sc *Scratch, w map[string]float64) (*poleres.Macromodel, error) {
+	if st.varmac == nil {
+		return st.extract(sc, w)
+	}
+	return st.varmac.EvalInto(sc.me, w)
+}
+
+// extract evaluates the variational library at w and extracts the
+// pole/residue form of the resulting ROM.
+func (st *Stage) extract(_ *Scratch, w map[string]float64) (*poleres.Macromodel, error) {
+	return poleres.Extract(st.varrom.At(w))
+}
+
+// rereduce reduces the load afresh at its exact element values for w and
+// extracts the pole/residue form.
+func (st *Stage) rereduce(_ *Scratch, w map[string]float64) (*poleres.Macromodel, error) {
+	g, err := st.sys.ExactG(w)
+	if err != nil {
+		return nil, err
+	}
+	rom, err := mor.Reduce(g, st.sys.ExactC(w), st.sys.Np, st.cfg.Order)
+	if err != nil {
+		return nil, err
+	}
+	return poleres.Extract(rom)
 }
 
 // detach deep-copies a scratch-backed result so it outlives the scratch
@@ -273,27 +338,6 @@ func (r *Result) detach() *Result {
 		out.PortV[i] = append([]float64(nil), v...)
 	}
 	return out
-}
-
-// RunWith is Run with a caller-owned evaluation scratch (NewScratch),
-// letting a worker loop evaluate many samples with zero steady-state
-// allocation. On the fast path the returned Result's waveform arrays are
-// backed by the scratch and remain valid only until the next RunWith
-// with the same scratch — consume (or copy) the result before reusing
-// the scratch. A nil scratch behaves like Run, whose results are always
-// caller-owned.
-func (st *Stage) RunWith(sc *Scratch, rs RunSpec) (*Result, error) {
-	if sc == nil {
-		return st.Run(rs)
-	}
-	if err := st.checkInputs(rs); err != nil {
-		return nil, err
-	}
-	if st.varmac == nil {
-		rom := st.varrom.At(rs.W)
-		return st.runROM(rom, rs)
-	}
-	return st.runFast(sc, rs)
 }
 
 func (st *Stage) checkInputs(rs RunSpec) error {
@@ -315,328 +359,6 @@ func (st *Stage) getScratch() *Scratch {
 	return st.NewScratch()
 }
 
-// RunExact evaluates one sample through the per-sample extraction path —
-// variational library evaluation followed by a full pole/residue
-// extraction (dense LU + eigendecomposition) — regardless of whether the
-// characterize-once macromodel is available. It is the accuracy
-// reference for the fast path, the baseline of the
-// characterization-speedup benchmark, and the degradation rung for
-// samples whose fast-path evaluation fails (e.g. a singular Gr(w) in the
-// macromodel's DC correction): the exact extraction does not share the
-// macromodel's first-order truncation, so it can succeed where the fast
-// path cannot.
-func (st *Stage) RunExact(rs RunSpec) (*Result, error) {
-	if err := st.checkInputs(rs); err != nil {
-		return nil, err
-	}
-	return st.runROM(st.varrom.At(rs.W), rs)
-}
-
-// RunDirect recharacterizes the ROM exactly at the sample (full
-// re-reduction with exact element values) and simulates — the accuracy
-// reference used by the Example-2 histogram comparison.
-func (st *Stage) RunDirect(rs RunSpec) (*Result, error) {
-	if err := st.checkInputs(rs); err != nil {
-		return nil, err
-	}
-	g, err := st.sys.ExactG(rs.W)
-	if err != nil {
-		return nil, err
-	}
-	c := st.sys.ExactC(rs.W)
-	rom, err := mor.Reduce(g, c, st.sys.Np, st.cfg.Order)
-	if err != nil {
-		return nil, err
-	}
-	return st.runROM(rom, rs)
-}
-
-func (st *Stage) runROM(rom *mor.ROM, rs RunSpec) (*Result, error) {
-	pr, err := poleres.Extract(rom)
-	if err != nil {
-		return nil, err
-	}
-	stats := RunStats{BetaMin: 1, BetaMax: 1}
-	if !st.cfg.NoStab {
-		var rep poleres.StabReport
-		if st.cfg.UseBetaStab {
-			pr, rep = pr.Stabilize()
-		} else {
-			pr, rep = pr.StabilizeShift()
-		}
-		stats.UnstablePoles = len(rep.Removed)
-		stats.BetaMin, stats.BetaMax = rep.BetaMin, rep.BetaMax
-		if len(pr.Poles) == 0 && stats.UnstablePoles > 0 {
-			return nil, fmt.Errorf("%w (%d poles removed at this sample)", poleres.ErrAllPolesUnstable, stats.UnstablePoles)
-		}
-	}
-	cv, err := poleres.NewConvolver(pr, st.cfg.DT)
-	if err != nil {
-		return nil, err
-	}
-	np := rom.Np
-	res := &Result{PortV: make([][]float64, np)}
-
-	// DC initialization: quasi-static SC fixed point at t=0.
-	zdc := pr.DCZ()
-	vp := make([]float64, np)
-	iN := make([]float64, np)
-	vin0 := make([][]float64, len(st.drivers))
-	for di, d := range st.drivers {
-		vin0[di] = make([]float64, d.nIn)
-		for k, w := range rs.Inputs[di] {
-			vin0[di][k] = w.At(0)
-		}
-	}
-	unk := make([][]float64, len(st.drivers))
-	states := make([]*driverState, len(st.drivers))
-	for di, d := range st.drivers {
-		unk[di] = make([]float64, d.nUnk)
-		states[di] = d.newState(rs.DL, rs.DVT)
-	}
-	if err := st.dcInit(zdc, vp, iN, vin0, unk, states); err != nil {
-		return nil, err
-	}
-	cv.InitDC(iN)
-	for di, d := range st.drivers {
-		d.commit(unk[di], vp[d.Port], vin0[di], states[di])
-	}
-	record := func(t float64, v []float64) {
-		res.T = append(res.T, t)
-		for p := 0; p < np; p++ {
-			res.PortV[p] = append(res.PortV[p], v[p])
-		}
-	}
-	record(0, vp)
-
-	h := st.cfg.DT
-	nSteps := int(st.cfg.TStop/h + 0.5)
-	zeff := cv.EffZ()
-	// Each SC iteration resolves the prefactored interconnect macromodel
-	// once (the Zeff apply below) plus two prefactored triangular solves
-	// per driver with internal unknowns (Norton extraction + internal
-	// recovery); drivers reduced to a single output unknown add nothing.
-	solvesPerIter := 1
-	for _, d := range st.drivers {
-		if d.nUnk > 1 {
-			solvesPerIter += 2
-		}
-	}
-	vinNow := make([][]float64, len(st.drivers))
-	for di := range st.drivers {
-		vinNow[di] = make([]float64, len(vin0[di]))
-	}
-	hist := make([]float64, np)
-	for step := 1; step <= nSteps; step++ {
-		t := float64(step) * h
-		for di, d := range st.drivers {
-			for k, w := range rs.Inputs[di] {
-				vinNow[di][k] = w.At(t)
-			}
-			// Start iteration from the committed state.
-			copy(unk[di][:d.outIdx], states[di].vInt)
-			unk[di][d.outIdx] = states[di].vOut
-		}
-		cv.HistoryInto(hist)
-		converged := false
-		for it := 0; it < st.cfg.MaxSC; it++ {
-			stats.SCIterations++
-			stats.LinearSolves += solvesPerIter
-			for di, d := range st.drivers {
-				b := d.rhs(unk[di], vinNow[di], false, states[di])
-				iN[d.Port] = d.norton(b, false)
-			}
-			delta := 0.0
-			for p := 0; p < np; p++ {
-				vNew := hist[p]
-				for q := 0; q < np; q++ {
-					vNew += zeff.At(p, q) * iN[q]
-				}
-				delta = math.Max(delta, math.Abs(vNew-vp[p]))
-				vp[p] = vNew
-			}
-			for di, d := range st.drivers {
-				b := d.rhs(unk[di], vinNow[di], false, states[di])
-				vi := d.internals(b, vp[d.Port], false)
-				copy(unk[di][:d.outIdx], vi)
-				unk[di][d.outIdx] = vp[d.Port]
-			}
-			if delta < st.cfg.SCTol && it > 0 {
-				converged = true
-				break
-			}
-			if scDiverged(delta) {
-				return nil, fmt.Errorf("%w at t=%.4g", ErrSCDiverged, t)
-			}
-		}
-		if !converged {
-			return nil, fmt.Errorf("%w: t=%.4g", ErrNoConvergence, t)
-		}
-		cv.Advance(iN)
-		for di, d := range st.drivers {
-			d.commit(unk[di], vp[d.Port], vinNow[di], states[di])
-		}
-		record(t, vp)
-		stats.Steps = step
-	}
-	res.Stats = stats
-	return res, nil
-}
-
-// dcInit solves the t=0 quasi-static operating point, filling vp (port
-// voltages), iN (Norton currents) and the drivers' unknown vectors. The
-// DC load can be capacitively open (Z(0) large), where plain SC iteration
-// stalls; a small Newton on the port residual r(vp) = vp − Zdc·I_N(vp) is
-// robust and only runs once per sample. The load carries the *transient*
-// chord conductance G_out (it includes the C/h companions, as the paper
-// notes G_out depends on the timestep resolution); at DC the driver
-// supplies no capacitive current, so the current into the effective load
-// is the DC Norton source plus the conductance difference times the port
-// voltage.
-func (st *Stage) dcInit(zdc *mat.Dense, vp, iN []float64, vin0, unk [][]float64, states []*driverState) error {
-	np := len(vp)
-	evalNorton := func(vpTry []float64) []float64 {
-		out := make([]float64, np)
-		for di, d := range st.drivers {
-			u := unk[di]
-			u[d.outIdx] = vpTry[d.Port]
-			// Settle the internal chord system to a fixed point so the
-			// Norton current is a well-defined function of the port
-			// voltage (one pass is not idempotent for stacked drivers).
-			var b []float64
-			for inner := 0; inner < 100; inner++ {
-				b = d.rhs(u, vin0[di], true, states[di])
-				vi := d.internals(b, vpTry[d.Port], true)
-				delta := 0.0
-				for k, v := range vi {
-					delta = math.Max(delta, math.Abs(v-u[k]))
-					u[k] = v
-				}
-				if delta < 0.1*st.cfg.SCTol {
-					break
-				}
-			}
-			b = d.rhs(u, vin0[di], true, states[di])
-			out[d.Port] = d.norton(b, true) + (d.gOut-d.dcGOut)*vpTry[d.Port]
-		}
-		return out
-	}
-	// Damped Newton from the current vp/unk contents.
-	newton := func() bool {
-		for it := 0; it < 100; it++ {
-			iNorton := evalNorton(vp)
-			r := make([]float64, np)
-			resid := 0.0
-			zin := mat.MulVec(zdc, iNorton)
-			for p := 0; p < np; p++ {
-				r[p] = vp[p] - zin[p]
-				resid = math.Max(resid, math.Abs(r[p]))
-			}
-			copy(iN, iNorton)
-			if resid < st.cfg.SCTol {
-				return true
-			}
-			// Jacobian J = I − Zdc·diag(dI_N/dv) by finite difference.
-			const fd = 1e-4
-			dIdv := make([]float64, np)
-			for p := 0; p < np; p++ {
-				vpP := make([]float64, np)
-				copy(vpP, vp)
-				vpP[p] += fd
-				iP := evalNorton(vpP)
-				dIdv[p] = (iP[p] - iNorton[p]) / fd
-			}
-			j := mat.Identity(np)
-			for p := 0; p < np; p++ {
-				for q := 0; q < np; q++ {
-					j.Add(p, q, -zdc.At(p, q)*dIdv[q])
-				}
-			}
-			dv, err := mat.Solve(j, r)
-			if err != nil {
-				return false
-			}
-			// Damp the update: near cutoff the port residual can have a
-			// near-zero slope and a full Newton step overshoots far
-			// outside the supply range.
-			clamp := 0.4 * st.cfg.Tech.VDD
-			for p := 0; p < np; p++ {
-				step := dv[p]
-				if step > clamp {
-					step = clamp
-				} else if step < -clamp {
-					step = -clamp
-				}
-				vp[p] -= step
-			}
-		}
-		return false
-	}
-	dcOK := false
-	// A primed DC solution whose t=0 inputs match this sample exactly is
-	// the best possible start: the sample's operating point differs only
-	// through its parameter deviations, so Newton typically converges in a
-	// couple of iterations. The warm start is a pure function of
-	// (stage, sample), keeping results independent of worker scheduling;
-	// on failure the standard start sequence runs unchanged.
-	if w := st.warm; w != nil && vinEqual(w.vin0, vin0) {
-		copy(vp, w.vp)
-		for di := range unk {
-			copy(unk[di], w.unk[di])
-		}
-		dcOK = newton()
-	}
-	if !dcOK {
-		// Multiple starting points: digital driver outputs sit near a
-		// rail, so if the iteration limit-cycles from one start it almost
-		// always converges from another.
-		for _, start := range []float64{0, st.cfg.Tech.VDD, 0.5 * st.cfg.Tech.VDD, 0.25 * st.cfg.Tech.VDD, 0.75 * st.cfg.Tech.VDD} {
-			for p := range vp {
-				vp[p] = start
-			}
-			for di := range st.drivers {
-				for k := range unk[di] {
-					unk[di][k] = start
-				}
-			}
-			if newton() {
-				dcOK = true
-				break
-			}
-		}
-	}
-	if !dcOK {
-		return ErrDCNewtonFailed
-	}
-	// Settle internals at the final port voltages.
-	for di, d := range st.drivers {
-		u := unk[di]
-		u[d.outIdx] = vp[d.Port]
-		b := d.rhs(u, vin0[di], true, states[di])
-		vi := d.internals(b, vp[d.Port], true)
-		copy(u[:d.outIdx], vi)
-	}
-	return nil
-}
-
-// vinEqual reports exact equality of two per-driver input-voltage sets.
-func vinEqual(a, b [][]float64) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if len(a[i]) != len(b[i]) {
-			return false
-		}
-		for k := range a[i] {
-			if a[i][k] != b[i][k] {
-				return false
-			}
-		}
-	}
-	return true
-}
-
 // PrimeDC solves the stage's DC operating point once, at nominal
 // parameters, for the given input stimuli, and stores it as the Newton
 // warm start for every subsequent sample whose t=0 input voltages match
@@ -645,57 +367,41 @@ func vinEqual(a, b [][]float64) bool {
 // stages see sample-dependent input waveforms and keep the standard
 // multi-start Newton.
 func (st *Stage) PrimeDC(inputs [][]circuit.Waveform) error {
-	if len(inputs) != len(st.drivers) {
-		return fmt.Errorf("teta: got %d input bundles for %d drivers", len(inputs), len(st.drivers))
+	if err := st.checkInputs(RunSpec{Inputs: inputs}); err != nil {
+		return err
 	}
+	sc := st.getScratch()
+	defer st.pool.Put(sc)
+	pr, err := st.macromodel(sc, nil)
+	if err != nil {
+		// The nominal Gr was factored during characterization, so this
+		// cannot happen in practice; report it rather than crash.
+		return fmt.Errorf("teta: PrimeDC nominal evaluation: %w", err)
+	}
+	st.stabilize(pr)
 	for di, d := range st.drivers {
-		if len(inputs[di]) != d.nIn {
-			return fmt.Errorf("teta: driver %s needs %d inputs, got %d", d.Name, d.nIn, len(inputs[di]))
-		}
-	}
-	var pr *poleres.Macromodel
-	if st.varmac != nil {
-		var err error
-		pr, err = st.varmac.At(nil)
-		if err != nil {
-			// The nominal Gr was factored during characterization, so this
-			// cannot happen in practice; report it rather than crash.
-			return fmt.Errorf("teta: PrimeDC nominal evaluation: %w", err)
-		}
-	} else {
-		var err error
-		pr, err = poleres.Extract(st.varrom.Nominal())
-		if err != nil {
-			return err
-		}
-	}
-	if !st.cfg.NoStab {
-		if st.cfg.UseBetaStab {
-			pr, _ = pr.Stabilize()
-		} else {
-			pr, _ = pr.StabilizeShift()
-		}
-	}
-	np := st.sys.Np
-	w := &dcWarm{
-		vin0: make([][]float64, len(st.drivers)),
-		vp:   make([]float64, np),
-		unk:  make([][]float64, len(st.drivers)),
-	}
-	iN := make([]float64, np)
-	states := make([]*driverState, len(st.drivers))
-	for di, d := range st.drivers {
-		w.vin0[di] = make([]float64, d.nIn)
+		d.resetState(sc.states[di], 0, 0)
 		for k, wf := range inputs[di] {
-			w.vin0[di][k] = wf.At(0)
+			sc.vin0[di][k] = wf.At(0)
 		}
-		w.unk[di] = make([]float64, d.nUnk)
-		states[di] = d.newState(0, 0)
 	}
 	st.warm = nil // prime from the standard start sequence
-	if err := st.dcInit(pr.DCZ(), w.vp, iN, w.vin0, w.unk, states); err != nil {
+	if err := st.dcInit(sc, pr.DCZ()); err != nil {
 		return fmt.Errorf("teta: PrimeDC: %w", err)
 	}
-	st.warm = w
+	st.warm = &dcWarm{
+		vin0: cloneRows(sc.vin0),
+		vp:   append([]float64(nil), sc.vp...),
+		unk:  cloneRows(sc.unk),
+	}
 	return nil
+}
+
+// cloneRows deep-copies a per-driver vector set.
+func cloneRows(rows [][]float64) [][]float64 {
+	out := make([][]float64, len(rows))
+	for i, r := range rows {
+		out[i] = append([]float64(nil), r...)
+	}
+	return out
 }
