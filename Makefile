@@ -1,15 +1,16 @@
 GO ?= go
 
-.PHONY: check vet staticcheck build test race race-short flake-guard bench checkpoint-resume yield-smoke ssta-smoke cache-smoke daemon-smoke fmt
+.PHONY: check vet staticcheck build test race race-short flake-guard bench checkpoint-resume yield-smoke ssta-smoke cache-smoke daemon-smoke records fmt
 
 # Full CI gate: vet + staticcheck, build, race-enabled tests (full +
 # short modes), the timer-race flake guard, paper benchmarks with the
 # multi-core scaling gate, crash-safety kill/resume gate,
 # importance-sampling yield gate, full-chip SSTA gate, warm model-cache
-# gate, crash-only daemon gate. Run before every merge (see README
-# "Failure policy" / pre-merge gate). Performance numbers come from the
-# repo benchmark, `bash perfbench/run.sh`, not from this target.
-check: vet staticcheck build race race-short flake-guard bench checkpoint-resume yield-smoke ssta-smoke cache-smoke daemon-smoke
+# gate, crash-only daemon gate, and the results-of-record diff. Run
+# before every merge (see README "Failure policy" / pre-merge gate).
+# Performance numbers come from the repo benchmark,
+# `bash perfbench/run.sh`, not from this target.
+check: vet staticcheck build race race-short flake-guard bench checkpoint-resume yield-smoke ssta-smoke cache-smoke daemon-smoke records
 
 vet:
 	$(GO) vet ./...
@@ -83,6 +84,16 @@ cache-smoke:
 # direct `lcsim run` of the same spec.
 daemon-smoke:
 	sh scripts/daemon_smoke.sh
+
+# Results-of-record gate: Example 1 (Table 3, Figure 3, the SPICE
+# divergence) and the ablation study must print results/example1.txt and
+# results/ablations.txt byte for byte. They pin the stage simulator's
+# results, to the printed precision: RunExact, both stability filters,
+# the convolver and the DC start. (Table 5 and Figure 6 have drifted
+# from their files and are not gated until they are regenerated.)
+records:
+	$(GO) run ./cmd/example1 | diff -u results/example1.txt -
+	$(GO) run ./cmd/ablations | diff -u results/ablations.txt -
 
 fmt:
 	gofmt -l -w .

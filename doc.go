@@ -19,7 +19,6 @@
 //	core.Path.MonteCarloCtx(ctx, cfg)
 //	core.Path.MonteCarloCorrelatedCtx(ctx, cfg)
 //	core.PathPair.MonteCarloSkewCtx(ctx, cfg)
-//	stat.MapSamplesCtx(ctx, ...)
 //
 // (The historical non-Ctx aliases, the boolean sampler toggles
 // MCConfig.UseLHS/UseHalton, and the Parallel/Direct switches have been

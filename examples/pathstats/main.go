@@ -75,7 +75,7 @@ func main() {
 	fmt.Printf("cost: %d stage evals, %d SC iterations, %d linear solves\n",
 		cost.StageEvals, cost.SCIterations, cost.LinearSolves)
 
-	// The same run without KeepSamples streams: Welford + P² accumulators
+	// The same run without KeepSamples streams: exact moments + P² accumulators
 	// replace the per-sample arrays, so N can scale to millions. The
 	// streamed mean/σ match the materialized ones to ~1e-9 relative.
 	stream, err := path.MonteCarloCtx(context.Background(), core.MCConfig{

@@ -1,7 +1,10 @@
 // Package checkpoint is the durable run journal behind crash-safe
 // statistical sweeps: a versioned, CRC-protected JSON snapshot of a
 // run's prefix-consistent state, written atomically (temp file + rename)
-// with the previous good snapshot rotated to a .bak fallback.
+// with the previous good snapshot rotated to a .bak fallback. The
+// recipe itself — Frame/Unframe for the CRC header, WriteAtomic for the
+// temp-file install — is shared with the model cache and the lcsimd
+// queue.
 //
 // The design leans on the framework's determinism contract: sampling is
 // a pure function of the sample index (fixed Seed, bit-identical at any
@@ -22,10 +25,8 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"io/fs"
 	"os"
-	"path/filepath"
 	"time"
 
 	"lcsim/internal/faultinj"
@@ -140,18 +141,6 @@ type Snapshot struct {
 	State json.RawMessage `json:"state"`
 }
 
-// header is the first line of the on-disk format. The rest of the file
-// is the marshaled snapshot, byte for byte; CRC32 (IEEE) covers exactly
-// those payload bytes, so any truncation or bit flip is detected before
-// the snapshot is trusted. The two-part layout exists because the CRC
-// must cover the bytes as written: nesting the snapshot inside a JSON
-// envelope lets the encoder re-format (indent/compact/escape) it, which
-// silently diverges from the checksummed form.
-type header struct {
-	Magic string `json:"magic"`
-	CRC32 uint32 `json:"crc32"`
-}
-
 // magic marks a file as an lcsim checkpoint.
 const magic = "lcsim-checkpoint"
 
@@ -177,7 +166,7 @@ func rename(oldpath, newpath string, m *runner.Metrics) error {
 	var err error
 	for attempt := 0; attempt < renameAttempts; attempt++ {
 		if attempt > 0 {
-			m.AddCheckpointRenameRetry(1)
+			m.Add(runner.CheckpointRenameRetries, 1)
 			time.Sleep(renameBackoff << (attempt - 1))
 		}
 		if err = fsys.Rename(oldpath, newpath); err == nil {
@@ -187,7 +176,7 @@ func rename(oldpath, newpath string, m *runner.Metrics) error {
 	return err
 }
 
-// Save writes snap to path atomically: marshal, CRC, write to a temp
+// Save writes snap to path atomically: marshal, frame, write to a temp
 // file in the same directory, fsync, then rotate the current snapshot
 // (if any) to BakPath and rename the temp file into place. A crash at
 // any instant leaves either the old snapshot, the new one, or the old
@@ -201,43 +190,21 @@ func Save(path string, snap *Snapshot, m *runner.Metrics) error {
 	if err != nil {
 		return fmt.Errorf("checkpoint: marshal snapshot: %w", err)
 	}
-	hdr, err := json.Marshal(header{Magic: magic, CRC32: crc32.ChecksumIEEE(body)})
-	if err != nil {
-		return fmt.Errorf("checkpoint: marshal header: %w", err)
-	}
-	buf := make([]byte, 0, len(hdr)+len(body)+2)
-	buf = append(buf, hdr...)
-	buf = append(buf, '\n')
-	buf = append(buf, body...)
-	buf = append(buf, '\n')
-
-	dir := filepath.Dir(path)
-	tmp, err := fsys.CreateTemp(dir, filepath.Base(path)+".tmp*")
-	if err != nil {
-		return fmt.Errorf("checkpoint: %w", err)
-	}
-	tmpName := tmp.Name()
-	defer fsys.Remove(tmpName) // no-op after a successful rename
-	if _, err := tmp.Write(buf); err != nil {
-		tmp.Close()
-		return fmt.Errorf("checkpoint: write %s: %w", tmpName, err)
-	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		return fmt.Errorf("checkpoint: sync %s: %w", tmpName, err)
-	}
-	if err := tmp.Close(); err != nil {
-		return fmt.Errorf("checkpoint: close %s: %w", tmpName, err)
-	}
-	// Rotate the previous good snapshot to .bak so a corrupt new file
-	// (torn disk, bad sector) still leaves a recoverable generation.
-	if _, err := fsys.Stat(path); err == nil {
-		if err := rename(path, BakPath(path), m); err != nil {
-			return fmt.Errorf("checkpoint: rotate %s: %w", path, err)
+	install := func(tmp, path string) error {
+		// Rotate the previous good snapshot to .bak so a corrupt new file
+		// (torn disk, bad sector) still leaves a recoverable generation.
+		if _, err := fsys.Stat(path); err == nil {
+			if err := rename(path, BakPath(path), m); err != nil {
+				return fmt.Errorf("rotate %s: %w", path, err)
+			}
 		}
+		if err := rename(tmp, path, m); err != nil {
+			return fmt.Errorf("install %s: %w", path, err)
+		}
+		return nil
 	}
-	if err := rename(tmpName, path, m); err != nil {
-		return fmt.Errorf("checkpoint: install %s: %w", path, err)
+	if err := WriteAtomic(fsys, path, append(Frame(magic, body), '\n'), install); err != nil {
+		return fmt.Errorf("checkpoint: %w", err)
 	}
 	return nil
 }
@@ -263,29 +230,22 @@ func Load(path string, m *runner.Metrics) (*Snapshot, bool, error) {
 	}
 	bak, bakErr := loadOne(BakPath(path))
 	if bakErr == nil {
-		m.AddCheckpointBakLoad(1)
+		m.Add(runner.CheckpointBakLoads, 1)
 		return bak, true, nil
 	}
 	return nil, false, fmt.Errorf("%w: %s unusable (%v) and no good .bak (%v)", ErrCorruptCheckpoint, path, primaryErr, bakErr)
 }
 
 // loadOne reads one snapshot generation, verifying CRC and version.
+// The CRC covers the body without the trailing newline Save appends.
 func loadOne(path string) (*Snapshot, error) {
 	buf, err := fsys.ReadFile(path)
 	if err != nil {
 		return nil, err
 	}
-	nl := bytes.IndexByte(buf, '\n')
-	if nl < 0 {
-		return nil, fmt.Errorf("%w: %s: missing header line", ErrCorruptCheckpoint, path)
-	}
-	var hdr header
-	if err := json.Unmarshal(buf[:nl], &hdr); err != nil || hdr.Magic != magic {
-		return nil, fmt.Errorf("%w: %s: bad header", ErrCorruptCheckpoint, path)
-	}
-	body := bytes.TrimSuffix(buf[nl+1:], []byte{'\n'})
-	if got := crc32.ChecksumIEEE(body); got != hdr.CRC32 {
-		return nil, fmt.Errorf("%w: %s: CRC32 %08x, want %08x", ErrCorruptCheckpoint, path, got, hdr.CRC32)
+	body, err := Unframe(magic, bytes.TrimSuffix(buf, []byte{'\n'}))
+	if err != nil {
+		return nil, fmt.Errorf("%w: %s: %v", ErrCorruptCheckpoint, path, err)
 	}
 	var snap Snapshot
 	if err := json.Unmarshal(body, &snap); err != nil {

@@ -229,12 +229,3 @@ func (s *VarSystem) ExactC(w map[string]float64) *sparse.CSC {
 	}
 	return tr.Compile()
 }
-
-// PortIndex returns the system index of the i-th port (identity by
-// construction, provided for readability).
-func (s *VarSystem) PortIndex(i int) int {
-	if i < 0 || i >= s.Np {
-		panic(fmt.Sprintf("circuit: port %d out of range %d", i, s.Np))
-	}
-	return i
-}

@@ -131,9 +131,9 @@ func (p *Path) stageDerivatives(e Engine, sc any, i int, sources []Source, slew 
 			return r, err
 		}
 		*sims++
-		m.AddStageEvals(1)
-		m.AddSC(r.SCIters)
-		m.AddSolves(r.Solves)
+		m.Add(runner.StageEvals, 1)
+		m.Add(runner.SCIterations, int64(r.SCIters))
+		m.Add(runner.LinearSolves, int64(r.Solves))
 		return r, nil
 	}
 	nom, err := eval(teta.RunSpec{}, slew)

@@ -230,9 +230,9 @@ func (p *Path) pathEvaluator(eng Engine, m *runner.Metrics, row func(i int) []fl
 			if err != nil {
 				return mcEval{}, err
 			}
-			m.AddSC(ev.SCIters)
-			m.AddSolves(ev.LinearSolves)
-			m.AddStageEvals(len(p.Stages))
+			m.Add(runner.SCIterations, int64(ev.SCIters))
+			m.Add(runner.LinearSolves, int64(ev.LinearSolves))
+			m.Add(runner.StageEvals, int64(len(p.Stages)))
 			return mcEval{delay: ev.Delay, sc: ev.SCIters, sample: sv}, nil
 		},
 	}

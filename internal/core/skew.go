@@ -127,9 +127,9 @@ func (pp *PathPair) MonteCarloSkewCtx(ctx context.Context, cfg SkewConfig) (*Ske
 				if err != nil {
 					return pairDelay{}, fmt.Errorf("branch B: %w", err)
 				}
-				cfg.Metrics.AddSC(da.SCIters + db.SCIters)
-				cfg.Metrics.AddSolves(da.LinearSolves + db.LinearSolves)
-				cfg.Metrics.AddStageEvals(len(pp.A.Stages) + len(pp.B.Stages))
+				cfg.Metrics.Add(runner.SCIterations, int64(da.SCIters+db.SCIters))
+				cfg.Metrics.Add(runner.LinearSolves, int64(da.LinearSolves+db.LinearSolves))
+				cfg.Metrics.Add(runner.StageEvals, int64(len(pp.A.Stages)+len(pp.B.Stages)))
 				return pairDelay{a: da.Delay, b: db.Delay}, nil
 			},
 		}

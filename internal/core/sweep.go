@@ -142,7 +142,7 @@ func (s *Sweep[T]) Start(cfg RunConfig) (int, error) {
 			return 0, fmt.Errorf("core: %s: %w: state payload: %v", ck.Path, checkpoint.ErrCorruptCheckpoint, err)
 		}
 		cfg.Metrics.Merge(m)
-		cfg.Metrics.AddResumed(snap.Next)
+		cfg.Metrics.Add(runner.Resumed, int64(snap.Next))
 		s.next = snap.Next
 	}
 	return s.next, nil
@@ -245,7 +245,7 @@ func (s *Sweep[T]) sample(ctx context.Context, i int, w *sweepWorker[T]) (sweepO
 				s.pools[r].Put(sc)
 			}
 			if rerr == nil {
-				s.cfg.Metrics.AddDegraded(1)
+				s.cfg.Metrics.Add(runner.Degraded, 1)
 				if w.shard != nil {
 					w.shard(v)
 				}

@@ -4,6 +4,8 @@ import (
 	"context"
 	"fmt"
 	"time"
+
+	"lcsim/internal/runner"
 )
 
 // watch runs one evaluation of sample i under the per-sample watchdog
@@ -38,7 +40,7 @@ func (s *Sweep[T]) watch(ctx context.Context, i int, e *Evaluator[T], sc any) (v
 	case <-ctx.Done():
 		return v, true, ctx.Err()
 	case <-timer.C:
-		s.cfg.Metrics.AddTimeout(1)
+		s.cfg.Metrics.Add(runner.TimedOut, 1)
 		return v, true, fmt.Errorf("engine %s: no result after %v: %w", e.Name, d, ErrSampleTimeout)
 	}
 }

@@ -151,21 +151,14 @@ func (m *Model) EvalID(vgs, vds, vbs float64, g Geometry) float64 {
 	return id
 }
 
-// EvalGeomID is EvalID with the polarity reflection of EvalGeom.
-func EvalGeomID(m *Model, g Geometry, vd, vg, vs, vb float64) float64 {
-	if m.Type == circuit.PMOS {
-		return -m.EvalID(vs-vg, vs-vd, vs-vb, g)
-	}
-	return m.EvalID(vg-vs, vd-vs, vb-vs, g)
-}
-
 // EvalCache pre-resolves the per-(model, geometry) constants of the
 // Level-1 current evaluation — the threshold with the sample's DVT folded
 // in and the transconductance factor β = KP·W/Leff — so the per-timestep
 // device sweep pays neither the Leff clamp and divide nor a model/geometry
 // copy per call. Build one per device instance when a sample's deviations
 // are fixed (Driver.resetState does); ID is then bit-identical to
-// EvalGeomID on the source model and geometry.
+// EvalID on the source model and geometry, with EvalGeom's polarity
+// reflection.
 type EvalCache struct {
 	vth0   float64 // VT0 + DVT
 	beta   float64 // KP·W/Leff(g)

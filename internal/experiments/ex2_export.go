@@ -1,9 +1,6 @@
 package experiments
 
-import (
-	"lcsim/internal/circuit"
-	"lcsim/internal/teta"
-)
+import "lcsim/internal/teta"
 
 // BuildExample2Stage builds the Example-2 (Figure 4) stage at one
 // wirelength for external harnesses such as the root-level benchmarks
@@ -21,17 +18,4 @@ func BuildExample2Stage(o Ex2Options, lengthUm float64) (*teta.Stage, error) {
 func Example2Samples(o Ex2Options) []teta.RunSpec {
 	o.setDefaults()
 	return ex2SampleSpecs(o)
-}
-
-// Example2Inputs returns the Figure-4 stimuli.
-func Example2Inputs(o Ex2Options) [][]circuit.Waveform {
-	o.setDefaults()
-	return ex2Inputs(o)
-}
-
-// Example2Delay measures the victim far-end 50% falling delay of one
-// Example-2 result.
-func Example2Delay(o Ex2Options, res *teta.Result) (float64, error) {
-	o.setDefaults()
-	return ex2Delay(o, res)
 }

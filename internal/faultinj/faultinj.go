@@ -42,8 +42,8 @@ import (
 // same recovery paths real ones would).
 var ErrInjected = errors.New("faultinj: injected fault")
 
-// File is the subset of *os.File the durable write recipe (temp file,
-// write, fsync, close, rename) needs.
+// File is the subset of *os.File the durable write recipe,
+// checkpoint.WriteAtomic (temp file, write, fsync, close, rename), needs.
 type File interface {
 	io.Writer
 	Sync() error
@@ -52,11 +52,11 @@ type File interface {
 }
 
 // FS is the filesystem seam the durable layers write through. The
-// method set mirrors the os functions the checkpoint recipe uses;
-// OS is the passthrough implementation, InjectFS the chaos one.
+// method set mirrors the os functions they use — checkpoint.WriteAtomic
+// to write, ReadFile to read back a checkpoint.Frame'd file; OS is the
+// passthrough implementation, InjectFS the chaos one.
 type FS interface {
 	ReadFile(name string) ([]byte, error)
-	WriteFile(name string, data []byte, perm os.FileMode) error
 	CreateTemp(dir, pattern string) (File, error)
 	Rename(oldpath, newpath string) error
 	Remove(name string) error
@@ -67,10 +67,7 @@ type FS interface {
 // OS is the real filesystem: every method delegates to package os.
 type OS struct{}
 
-func (OS) ReadFile(name string) ([]byte, error) { return os.ReadFile(name) }
-func (OS) WriteFile(name string, data []byte, perm os.FileMode) error {
-	return os.WriteFile(name, data, perm)
-}
+func (OS) ReadFile(name string) ([]byte, error)         { return os.ReadFile(name) }
 func (OS) CreateTemp(dir, pattern string) (File, error) { return os.CreateTemp(dir, pattern) }
 func (OS) Rename(oldpath, newpath string) error         { return os.Rename(oldpath, newpath) }
 func (OS) Remove(name string) error                     { return os.Remove(name) }
@@ -336,18 +333,6 @@ func (f InjectFS) ReadFile(name string) ([]byte, error) {
 		return nil, fmt.Errorf("%w: read %s", ErrInjected, name)
 	}
 	return data, nil
-}
-
-func (f InjectFS) WriteFile(name string, data []byte, perm os.FileMode) error {
-	switch f.S.Decide(OpWrite) {
-	case KindTorn:
-		// Persist only a prefix and report success: the torn write a
-		// crash between write and fsync leaves behind.
-		return f.FS.WriteFile(name, data[:len(data)/2], perm)
-	case KindENOSPC:
-		return fmt.Errorf("%w: write %s: %w", ErrInjected, name, syscall.ENOSPC)
-	}
-	return f.FS.WriteFile(name, data, perm)
 }
 
 func (f InjectFS) CreateTemp(dir, pattern string) (File, error) {

@@ -128,12 +128,16 @@ func TestInjectFSTornWrite(t *testing.T) {
 	}
 }
 
-// TestInjectFSENOSPC: injected write failures carry both ErrInjected
-// and the real syscall error.
+// TestInjectFSENOSPC: injected write failures on the temp-file recipe
+// carry both ErrInjected and the real syscall error.
 func TestInjectFSENOSPC(t *testing.T) {
 	fs := Inject(OS{}, NewSchedule(1).RuleAt(OpWrite, KindENOSPC, 0))
-	err := fs.WriteFile(filepath.Join(t.TempDir(), "x"), []byte("data"), 0o644)
-	if !errors.Is(err, ErrInjected) || !errors.Is(err, syscall.ENOSPC) {
+	f, err := fs.CreateTemp(t.TempDir(), "x*")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	if _, err := f.Write([]byte("data")); !errors.Is(err, ErrInjected) || !errors.Is(err, syscall.ENOSPC) {
 		t.Fatalf("want ErrInjected wrapping ENOSPC, got %v", err)
 	}
 }

@@ -8,6 +8,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"lcsim/internal/runner"
 )
 
 // TestSpecMarshalParseRoundTrip: the -dump-spec output format must be
@@ -213,7 +215,7 @@ var registerEcho = sync.OnceFunc(func() {
 		Name: "test-echo",
 		Doc:  "test driver",
 		Run: func(ctx context.Context, spec *Spec, env *Env) (*Result, error) {
-			env.Metrics.AddStageEvals(5)
+			env.Metrics.Add(runner.StageEvals, 5)
 			env.printf("echo\n")
 			return &Result{Summary: "ok"}, nil
 		},

@@ -77,7 +77,7 @@ func TestRunNilEnvDefaults(t *testing.T) {
 		Run: func(_ context.Context, _ *Spec, env *Env) (*Result, error) {
 			// Exercise every Env convenience path the drivers rely on.
 			env.printf("to the void\n")
-			env.Metrics.AddStageEvals(3)
+			env.Metrics.Add(runner.StageEvals, 3)
 			env.printMetrics()
 			return &Result{}, nil
 		},
@@ -105,7 +105,7 @@ func TestRunConcurrentSharedEnv(t *testing.T) {
 	Register(Driver{
 		Name: "test-conc-run",
 		Run: func(_ context.Context, _ *Spec, env *Env) (*Result, error) {
-			env.Metrics.AddStageEvals(1)
+			env.Metrics.Add(runner.StageEvals, 1)
 			env.printf("tick\n")
 			return &Result{}, nil
 		},

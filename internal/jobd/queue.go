@@ -264,28 +264,11 @@ func (q *Queue) PutResult(id string, res *job.Result, stdout []byte) error {
 	return q.SetState(id, &State{Status: StatusDone})
 }
 
-// writeFileAtomic is the temp+fsync+rename recipe through the queue's
-// (possibly fault-injected) filesystem.
+// writeFileAtomic writes one queue file with checkpoint.WriteAtomic
+// through the queue's (possibly fault-injected) filesystem.
 func (q *Queue) writeFileAtomic(path string, buf []byte) error {
-	tmp, err := q.fs.CreateTemp(filepath.Dir(path), filepath.Base(path)+".tmp*")
-	if err != nil {
+	if err := checkpoint.WriteAtomic(q.fs, path, buf, nil); err != nil {
 		return fmt.Errorf("jobd: %w", err)
-	}
-	tmpName := tmp.Name()
-	defer q.fs.Remove(tmpName)
-	if _, err := tmp.Write(buf); err != nil {
-		tmp.Close()
-		return fmt.Errorf("jobd: write %s: %w", tmpName, err)
-	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		return fmt.Errorf("jobd: sync %s: %w", tmpName, err)
-	}
-	if err := tmp.Close(); err != nil {
-		return fmt.Errorf("jobd: close %s: %w", tmpName, err)
-	}
-	if err := q.fs.Rename(tmpName, path); err != nil {
-		return fmt.Errorf("jobd: install %s: %w", path, err)
 	}
 	return nil
 }

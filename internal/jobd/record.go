@@ -18,14 +18,12 @@
 package jobd
 
 import (
-	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
-	"hash/crc32"
-	"path/filepath"
 	"time"
 
+	"lcsim/internal/checkpoint"
 	"lcsim/internal/faultinj"
 )
 
@@ -70,47 +68,16 @@ var ErrCorruptRecord = errors.New("jobd: state record corrupt")
 // recordMagic marks a file as an lcsimd state record.
 const recordMagic = "lcsimd-record"
 
-// recordHeader is the first line of the on-disk format; the rest is the
-// marshaled State, byte for byte, covered by the CRC — the same
-// two-part recipe as internal/checkpoint, for the same reason.
-type recordHeader struct {
-	Magic string `json:"magic"`
-	CRC32 uint32 `json:"crc32"`
-}
-
-// writeRecord persists st atomically through f: temp file in the same
-// directory, fsync, rename.
+// writeRecord persists st atomically through f: checkpoint.Frame's CRC
+// header line over the marshaled State, installed by
+// checkpoint.WriteAtomic.
 func writeRecord(f faultinj.FS, path string, st *State) error {
 	body, err := json.Marshal(st)
 	if err != nil {
 		return fmt.Errorf("jobd: marshal state: %w", err)
 	}
-	hdr, err := json.Marshal(recordHeader{Magic: recordMagic, CRC32: crc32.ChecksumIEEE(body)})
-	if err != nil {
-		return fmt.Errorf("jobd: marshal record header: %w", err)
-	}
-	buf := append(append(hdr, '\n'), body...)
-
-	dir := filepath.Dir(path)
-	tmp, err := f.CreateTemp(dir, filepath.Base(path)+".tmp*")
-	if err != nil {
+	if err := checkpoint.WriteAtomic(f, path, checkpoint.Frame(recordMagic, body), nil); err != nil {
 		return fmt.Errorf("jobd: %w", err)
-	}
-	tmpName := tmp.Name()
-	defer f.Remove(tmpName) // no-op after a successful rename
-	if _, err := tmp.Write(buf); err != nil {
-		tmp.Close()
-		return fmt.Errorf("jobd: write %s: %w", tmpName, err)
-	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		return fmt.Errorf("jobd: sync %s: %w", tmpName, err)
-	}
-	if err := tmp.Close(); err != nil {
-		return fmt.Errorf("jobd: close %s: %w", tmpName, err)
-	}
-	if err := f.Rename(tmpName, path); err != nil {
-		return fmt.Errorf("jobd: install %s: %w", path, err)
 	}
 	return nil
 }
@@ -123,17 +90,9 @@ func readRecord(f faultinj.FS, path string) (*State, error) {
 	if err != nil {
 		return nil, err
 	}
-	nl := bytes.IndexByte(buf, '\n')
-	if nl < 0 {
-		return nil, fmt.Errorf("%w: %s: missing header line", ErrCorruptRecord, path)
-	}
-	var hdr recordHeader
-	if err := json.Unmarshal(buf[:nl], &hdr); err != nil || hdr.Magic != recordMagic {
-		return nil, fmt.Errorf("%w: %s: bad header", ErrCorruptRecord, path)
-	}
-	body := buf[nl+1:]
-	if got := crc32.ChecksumIEEE(body); got != hdr.CRC32 {
-		return nil, fmt.Errorf("%w: %s: CRC32 %08x, want %08x", ErrCorruptRecord, path, got, hdr.CRC32)
+	body, err := checkpoint.Unframe(recordMagic, buf)
+	if err != nil {
+		return nil, fmt.Errorf("%w: %s: %v", ErrCorruptRecord, path, err)
 	}
 	var st State
 	if err := json.Unmarshal(body, &st); err != nil {

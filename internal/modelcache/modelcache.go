@@ -9,25 +9,23 @@
 // The store is bytes-in/bytes-out: callers (teta.BuildStage via the
 // teta.MacroStore interface) own the serialization, the store owns
 // integrity and atomicity. Entries follow the internal/checkpoint
-// durability recipe — a JSON header line carrying a CRC32 (IEEE) over
-// the payload bytes, written to a temp file and renamed into place —
-// so a torn write or a flipped bit is detected, the entry deleted, and
-// the model recomputed rather than trusted. Concurrent same-key misses
-// within one process are single-flighted: one goroutine computes, the
-// rest wait and share the bytes.
+// durability recipe — checkpoint.Frame's JSON header line carrying a
+// CRC32 (IEEE) over the payload bytes, installed by
+// checkpoint.WriteAtomic (temp file, fsync, rename) — so a torn write or
+// a flipped bit is detected, the entry deleted, and the model recomputed
+// rather than trusted. Concurrent same-key misses within one process are
+// single-flighted: one goroutine computes, the rest wait and share the
+// bytes.
 package modelcache
 
 import (
-	"bytes"
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"path/filepath"
 	"sync"
-	"sync/atomic"
 
+	"lcsim/internal/checkpoint"
 	"lcsim/internal/faultinj"
 	"lcsim/internal/runner"
 )
@@ -39,15 +37,6 @@ var ErrCorruptEntry = errors.New("modelcache: entry corrupt")
 
 // magic marks a file as an lcsim macromodel-store entry.
 const magic = "lcsim-macromodel"
-
-// header is the first line of an entry file; the rest is the payload,
-// byte for byte, covered by the CRC (same two-part layout as
-// internal/checkpoint, for the same reason: the checksum must cover the
-// bytes exactly as written).
-type header struct {
-	Magic string `json:"magic"`
-	CRC32 uint32 `json:"crc32"`
-}
 
 // Store is an on-disk content-addressed macromodel store. It is safe
 // for concurrent use; one Store per process is the intended shape (the
@@ -61,9 +50,8 @@ type Store struct {
 	// results. Set it before the first GetOrCompute.
 	Metrics *runner.Metrics
 
-	hits    atomic.Int64
-	misses  atomic.Int64
-	corrupt atomic.Int64
+	// stats holds the store's own ModelCache* counters behind Stats.
+	stats runner.Metrics
 
 	mu     sync.Mutex
 	flight map[string]*call
@@ -111,7 +99,8 @@ func (s *Store) path(key string) string {
 
 // Stats reports the store's counters.
 func (s *Store) Stats() (hits, misses, corrupt int64) {
-	return s.hits.Load(), s.misses.Load(), s.corrupt.Load()
+	st := s.stats.Snapshot()
+	return st.ModelCacheHits, st.ModelCacheMisses, st.ModelCacheCorrupt
 }
 
 // GetOrCompute returns the payload stored under key, computing and
@@ -144,7 +133,7 @@ func (s *Store) GetOrComputeCtx(ctx context.Context, key string, compute func() 
 		}
 		if c.err == nil {
 			// Shared results count as hits: the extraction ran once.
-			s.addHit()
+			s.count(runner.ModelCacheHits)
 			return c.data, true, nil
 		}
 		return nil, false, c.err
@@ -162,34 +151,25 @@ func (s *Store) GetOrComputeCtx(ctx context.Context, key string, compute func() 
 	}()
 
 	if data, err := s.read(key); err == nil {
-		s.addHit()
+		s.count(runner.ModelCacheHits)
 		return data, true, nil
 	} else if errors.Is(err, ErrCorruptEntry) {
-		s.addCorrupt()
+		s.count(runner.ModelCacheCorrupt)
 		s.fs.Remove(s.path(key))
 	}
 	data, err = compute()
 	if err != nil {
 		return nil, false, err
 	}
-	s.addMiss()
+	s.count(runner.ModelCacheMisses)
 	s.write(key, data)
 	return data, false, nil
 }
 
-func (s *Store) addHit() {
-	s.hits.Add(1)
-	s.Metrics.AddModelCacheHit(1)
-}
-
-func (s *Store) addMiss() {
-	s.misses.Add(1)
-	s.Metrics.AddModelCacheMiss(1)
-}
-
-func (s *Store) addCorrupt() {
-	s.corrupt.Add(1)
-	s.Metrics.AddModelCacheCorrupt(1)
+// count adds one to counter c of the store and of the mirrored Metrics.
+func (s *Store) count(c runner.Counter) {
+	s.stats.Add(c, 1)
+	s.Metrics.Add(c, 1)
 }
 
 // read loads and verifies one entry. A missing entry returns the
@@ -200,51 +180,22 @@ func (s *Store) read(key string) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	nl := bytes.IndexByte(buf, '\n')
-	if nl < 0 {
-		return nil, fmt.Errorf("%w: %s: missing header line", ErrCorruptEntry, key)
-	}
-	var hdr header
-	if err := json.Unmarshal(buf[:nl], &hdr); err != nil || hdr.Magic != magic {
-		return nil, fmt.Errorf("%w: %s: bad header", ErrCorruptEntry, key)
-	}
-	body := buf[nl+1:]
-	if got := crc32.ChecksumIEEE(body); got != hdr.CRC32 {
-		return nil, fmt.Errorf("%w: %s: CRC32 %08x, want %08x", ErrCorruptEntry, key, got, hdr.CRC32)
+	body, err := checkpoint.Unframe(magic, buf)
+	if err != nil {
+		return nil, fmt.Errorf("%w: %s: %v", ErrCorruptEntry, key, err)
 	}
 	return body, nil
 }
 
-// write stores one entry atomically: temp file in the entry's shard
-// directory, fsync, rename. Errors are dropped (see GetOrCompute) —
-// a read-only or full cache directory degrades to cache-off behavior.
+// write stores one entry with checkpoint.WriteAtomic. Errors are
+// dropped (see GetOrCompute) — a read-only or full cache directory
+// degrades to cache-off behavior.
 func (s *Store) write(key string, body []byte) {
 	p := s.path(key)
 	if err := s.fs.MkdirAll(filepath.Dir(p), 0o755); err != nil {
 		return
 	}
-	hdr, err := json.Marshal(header{Magic: magic, CRC32: crc32.ChecksumIEEE(body)})
-	if err != nil {
-		return
-	}
-	tmp, err := s.fs.CreateTemp(filepath.Dir(p), filepath.Base(p)+".tmp*")
-	if err != nil {
-		return
-	}
-	tmpName := tmp.Name()
-	defer s.fs.Remove(tmpName) // no-op after a successful rename
-	if _, err := tmp.Write(append(append(hdr, '\n'), body...)); err != nil {
-		tmp.Close()
-		return
-	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		return
-	}
-	if err := tmp.Close(); err != nil {
-		return
-	}
-	s.fs.Rename(tmpName, p)
+	_ = checkpoint.WriteAtomic(s.fs, p, checkpoint.Frame(magic, body), nil)
 }
 
 // Bound is a context-bound view of a Store: it satisfies the structural

@@ -51,17 +51,18 @@ type Convolver struct {
 	rpRe, rpIm   []float64
 	gRe, gIm     []float64
 
-	// Convolution state, indexed [k*np+i].
+	// Committed convolution state s, indexed [k*np+i], and the port
+	// currents committed with it. InitDC and Reset set s (AdvanceInto
+	// refreshes it when it returns voltages); rotate folds s and iPrev
+	// into p.
 	sRe, sIm []float64
 	iPrev    []float64
 
-	// Pending rotated state p = e·s + (R·c0)·iPrev for the upcoming step.
-	// Once HistoryInto has established it, the convolver stays in this
-	// representation: AdvanceInto folds the committed currents with the
-	// fused g coefficient (one state sweep per timestep instead of two),
-	// and HistoryInto reduces to summing the real plane. The s planes are
-	// refreshed only on the dst-returning Advance path, so external
-	// callers that never use HistoryInto observe the legacy recursion.
+	// Rotated state p = e·s + (R·c0)·iPrev for the upcoming step: the
+	// history is the sum of its real plane, and AdvanceInto moves it one
+	// step with the fused g coefficient (one state sweep per timestep).
+	// pending reports that p is current; after a reset of s the first
+	// HistoryInto or AdvanceInto rotates s into p.
 	pRe, pIm []float64
 	pending  bool
 
@@ -215,32 +216,35 @@ func (c *Convolver) History() []float64 {
 }
 
 // HistoryInto computes the history vector into dst (length Np) without
-// allocating — the per-timestep entry point of Stage.Run's SC loop. The
-// first call rotates the s state into the pending representation; from
-// then on AdvanceInto keeps the pending state current across steps and
-// HistoryInto only sums its real plane.
+// allocating — the per-timestep entry point of Stage.Run's SC loop. It
+// sums the real plane of the rotated state p, rotating s into p first
+// when the state was just reset.
 func (c *Convolver) HistoryInto(dst []float64) {
 	np := c.np
 	if len(dst) != np {
 		panic(fmt.Sprintf("poleres: HistoryInto got %d ports, want %d", len(dst), np))
 	}
+	if !c.pending {
+		c.rotate()
+	}
 	for i := range dst {
 		dst[i] = 0
 	}
-	if c.pending {
-		for k := 0; k < c.nproc; k++ {
-			w := c.weight[k]
-			p := c.pRe[k*np : k*np+np]
-			for i, pv := range p {
-				dst[i] += w * pv
-			}
+	for k := 0; k < c.nproc; k++ {
+		w := c.weight[k]
+		p := c.pRe[k*np : k*np+np]
+		for i, pv := range p {
+			dst[i] += w * pv
 		}
-		return
 	}
+}
+
+// rotate sets p = e·s + (R·c0)·iPrev from the committed state.
+func (c *Convolver) rotate() {
+	np := c.np
 	iPrev := c.iPrev
 	for k := 0; k < c.nproc; k++ {
 		er, ei := real(c.exp[k]), imag(c.exp[k])
-		w := c.weight[k]
 		base := k * np * np
 		soff := k * np
 		if c.isReal[k] {
@@ -252,7 +256,6 @@ func (c *Convolver) HistoryInto(dst []float64) {
 				}
 				c.pRe[soff+i] = acc
 				c.pIm[soff+i] = 0
-				dst[i] += w * acc
 			}
 			continue
 		}
@@ -269,7 +272,6 @@ func (c *Convolver) HistoryInto(dst []float64) {
 			}
 			c.pRe[soff+i] = xr
 			c.pIm[soff+i] = xi
-			dst[i] += w * xr
 		}
 	}
 	c.pending = true
@@ -297,118 +299,65 @@ func (c *Convolver) AdvanceInto(dst, i1 []float64) {
 			dst[i] = 0
 		}
 	}
-	if c.pending {
-		// Fused step: the pending state p(t) already folded in iPrev, so
-		// p(t+h) = exp·p(t) + g·i1 advances the recursion in one sweep.
-		// The convolver stays in the pending representation — the next
-		// HistoryInto just sums p. When the caller wants the committed
-		// voltages, s(t) = p(t) + rc1·i1 is produced (and stored, keeping
-		// the s planes fresh for the public Advance-only protocol).
-		for k := 0; k < c.nproc; k++ {
-			w := c.weight[k]
-			er, ei := real(c.exp[k]), imag(c.exp[k])
-			base := k * np * np
-			soff := k * np
-			if c.isReal[k] {
-				for i := 0; i < np; i++ {
-					off := base + i*np
-					g := c.gRe[off : off+np]
-					pr := c.pRe[soff+i]
-					x := er * pr
-					for j, iv := range i1 {
-						x += g[j] * iv
-					}
-					if dst != nil {
-						s := pr
-						r1 := c.rc1Re[off : off+np]
-						for j, iv := range i1 {
-							s += r1[j] * iv
-						}
-						c.sRe[soff+i] = s
-						dst[i] += w * s
-					}
-					c.pRe[soff+i] = x
-				}
-				continue
-			}
-			for i := 0; i < np; i++ {
-				off := base + i*np
-				gr := c.gRe[off : off+np]
-				gi := c.gIm[off : off+np]
-				pr, pi := c.pRe[soff+i], c.pIm[soff+i]
-				xr := er*pr - ei*pi
-				xi := er*pi + ei*pr
-				for j, iv := range i1 {
-					xr += gr[j] * iv
-					xi += gi[j] * iv
-				}
-				if dst != nil {
-					sr, si := pr, pi
-					r1r := c.rc1Re[off : off+np]
-					r1i := c.rc1Im[off : off+np]
-					for j, iv := range i1 {
-						sr += r1r[j] * iv
-						si += r1i[j] * iv
-					}
-					c.sRe[soff+i] = sr
-					c.sIm[soff+i] = si
-					dst[i] += w * sr
-				}
-				c.pRe[soff+i] = xr
-				c.pIm[soff+i] = xi
-			}
-		}
-		c.finishAdvance(dst, i1)
-		return
+	if !c.pending {
+		c.rotate()
 	}
-	iPrev := c.iPrev
+	// Fused step: p(t) already folds in iPrev, so p(t+h) = exp·p(t) +
+	// g·i1 advances the recursion in one sweep and the next HistoryInto
+	// just sums p. When the caller wants the committed voltages,
+	// s(t+h) = p(t) + rc1·i1 is produced and stored.
 	for k := 0; k < c.nproc; k++ {
-		er, ei := real(c.exp[k]), imag(c.exp[k])
 		w := c.weight[k]
+		er, ei := real(c.exp[k]), imag(c.exp[k])
 		base := k * np * np
 		soff := k * np
 		if c.isReal[k] {
-			// Real pole: imaginary planes are identically zero.
 			for i := 0; i < np; i++ {
 				off := base + i*np
-				r0 := c.rc0Re[off : off+np]
-				r1 := c.rc1Re[off : off+np]
-				x := er * c.sRe[soff+i]
-				for j, ip := range iPrev {
-					x += r0[j] * ip
-				}
+				g := c.gRe[off : off+np]
+				pr := c.pRe[soff+i]
+				x := er * pr
 				for j, iv := range i1 {
-					x += r1[j] * iv
+					x += g[j] * iv
 				}
-				c.sRe[soff+i] = x
 				if dst != nil {
-					dst[i] += w * x
+					s := pr
+					r1 := c.rc1Re[off : off+np]
+					for j, iv := range i1 {
+						s += r1[j] * iv
+					}
+					c.sRe[soff+i] = s
+					dst[i] += w * s
 				}
+				c.pRe[soff+i] = x
 			}
 			continue
 		}
 		for i := 0; i < np; i++ {
 			off := base + i*np
-			r0r := c.rc0Re[off : off+np]
-			r0i := c.rc0Im[off : off+np]
-			r1r := c.rc1Re[off : off+np]
-			r1i := c.rc1Im[off : off+np]
-			sr, si := c.sRe[soff+i], c.sIm[soff+i]
-			xr := er*sr - ei*si
-			xi := er*si + ei*sr
-			for j, ip := range iPrev {
-				xr += r0r[j] * ip
-				xi += r0i[j] * ip
-			}
+			gr := c.gRe[off : off+np]
+			gi := c.gIm[off : off+np]
+			pr, pi := c.pRe[soff+i], c.pIm[soff+i]
+			xr := er*pr - ei*pi
+			xi := er*pi + ei*pr
 			for j, iv := range i1 {
-				xr += r1r[j] * iv
-				xi += r1i[j] * iv
+				xr += gr[j] * iv
+				xi += gi[j] * iv
 			}
-			c.sRe[soff+i] = xr
-			c.sIm[soff+i] = xi
 			if dst != nil {
-				dst[i] += w * xr
+				sr, si := pr, pi
+				r1r := c.rc1Re[off : off+np]
+				r1i := c.rc1Im[off : off+np]
+				for j, iv := range i1 {
+					sr += r1r[j] * iv
+					si += r1i[j] * iv
+				}
+				c.sRe[soff+i] = sr
+				c.sIm[soff+i] = si
+				dst[i] += w * sr
 			}
+			c.pRe[soff+i] = xr
+			c.pIm[soff+i] = xi
 		}
 	}
 	c.finishAdvance(dst, i1)

@@ -141,17 +141,29 @@ func (m *Macromodel) Z(s complex128) *mat.CDense {
 	return out
 }
 
-// DCZ returns Z(0) = D0 − Σ Res/Poles as a real matrix (imaginary parts
-// cancel across conjugate pairs).
+// DCZ returns Z(0) = D0 − Σ Res/Poles as a new real matrix (see
+// DCZInto).
 func (m *Macromodel) DCZ() *mat.Dense {
-	z := m.Z(0)
 	out := mat.NewDense(m.Np, m.Np)
-	for i := 0; i < m.Np; i++ {
-		for j := 0; j < m.Np; j++ {
-			out.Set(i, j, real(z.At(i, j)))
+	m.DCZInto(out)
+	return out
+}
+
+// DCZInto writes Z(0) = D0 − Σ Res/Poles into the Np×Np matrix dst
+// without allocating; the imaginary parts cancel across conjugate pairs.
+// It adds the real part of each pole's term in the order Z(0) sums them,
+// so dst is bit-identical to real(Z(0)).
+func (m *Macromodel) DCZInto(dst *mat.Dense) {
+	dst.CopyFrom(m.D0)
+	for k, p := range m.Poles {
+		f := 1 / (0 - p)
+		for i := 0; i < m.Np; i++ {
+			z := dst.Row(i)
+			for j, r := range m.Res[k].Row(i) {
+				z[j] += real(r * f)
+			}
 		}
 	}
-	return out
 }
 
 // UnstablePoles returns the right-half-plane poles (Re > 0), the quantity

@@ -109,6 +109,34 @@ func TestDCZMatchesSchurComplement(t *testing.T) {
 	}
 }
 
+// TestDCZIntoBitIdenticalToZ0: the allocation-free DC impedance (the
+// DC start of every teta sample) must equal the real part of Z(0) bit
+// for bit, conjugate pairs and reused destinations included.
+func TestDCZIntoBitIdenticalToZ0(t *testing.T) {
+	rom, _ := ladderROM(t, 10, 3)
+	ladder, err := Extract(rom)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, m := range map[string]*Macromodel{"ladder": ladder, "mixed": mixedModel(), "unstable": unstableModel()} {
+		dst := mat.NewDense(m.Np, m.Np)
+		for i := 0; i < m.Np; i++ {
+			for j := 0; j < m.Np; j++ {
+				dst.Set(i, j, math.NaN()) // a stale destination must be overwritten
+			}
+		}
+		m.DCZInto(dst)
+		z := m.Z(0)
+		for i := 0; i < m.Np; i++ {
+			for j := 0; j < m.Np; j++ {
+				if got, want := dst.At(i, j), real(z.At(i, j)); math.Float64bits(got) != math.Float64bits(want) {
+					t.Fatalf("%s: DCZInto[%d][%d] = %v, real(Z(0)) = %v", name, i, j, got, want)
+				}
+			}
+		}
+	}
+}
+
 // unstableModel builds a synthetic macromodel with one unstable pole.
 func unstableModel() *Macromodel {
 	m := &Macromodel{Np: 1, D0: mat.NewDense(1, 1)}

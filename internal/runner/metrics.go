@@ -1,10 +1,80 @@
 package runner
 
 import (
-	"sort"
 	"sync"
 	"sync/atomic"
 )
+
+// Counter names one cost counter of Metrics. Each is declared once here
+// and read back through the Snapshot field of the same name.
+type Counter int
+
+const (
+	// Samples counts completed sample evaluations, skipped ones included.
+	Samples Counter = iota
+	// SCIterations counts Successive-Chords iterations.
+	SCIterations
+	// LinearSolves counts triangular solves during timestepping.
+	LinearSolves
+	// StageEvals counts stage transient evaluations.
+	StageEvals
+	// Skipped counts samples a skip policy excluded from the aggregate.
+	Skipped
+	// Degraded counts samples that failed their primary evaluation and
+	// were recovered by a degradation retry (a ladder rung).
+	Degraded
+	// TimedOut counts evaluations abandoned at a per-sample watchdog
+	// deadline, whether a ladder rung later recovered the sample or not.
+	TimedOut
+	// Resumed counts samples restored from a durable checkpoint instead
+	// of being evaluated by this process.
+	Resumed
+	// BusyNs is wall-clock nanoseconds workers spent inside evaluation
+	// batches (summed across workers). BusyNs/(workers·elapsed) is the
+	// run's worker utilization.
+	BusyNs
+	// SendWaitNs is wall-clock nanoseconds workers spent blocked handing
+	// finished batches to the ordered-delivery collector — the channel
+	// contention a flat scaling curve is made of.
+	SendWaitNs
+	// ModelCacheHits counts characterizations served from the cross-run
+	// macromodel store; ModelCacheMisses those that had to run (and were
+	// then stored); ModelCacheCorrupt on-disk entries rejected by the
+	// integrity check (deleted and recomputed). A fully warm run has zero
+	// misses.
+	ModelCacheHits
+	ModelCacheMisses
+	ModelCacheCorrupt
+	// CheckpointBakLoads counts resumes served from the .bak rotation
+	// because the primary snapshot was missing or corrupt;
+	// CheckpointRenameRetries counts atomic-install renames that needed a
+	// retry. Non-zero values mean the journal survived real filesystem
+	// trouble.
+	CheckpointBakLoads
+	CheckpointRenameRetries
+
+	numCounters
+)
+
+// fields maps every Counter to its Snapshot field: the one table
+// Snapshot and Merge loop over.
+var fields = [numCounters]func(*Snapshot) *int64{
+	Samples:                 func(s *Snapshot) *int64 { return &s.Samples },
+	SCIterations:            func(s *Snapshot) *int64 { return &s.SCIterations },
+	LinearSolves:            func(s *Snapshot) *int64 { return &s.LinearSolves },
+	StageEvals:              func(s *Snapshot) *int64 { return &s.StageEvals },
+	Skipped:                 func(s *Snapshot) *int64 { return &s.Skipped },
+	Degraded:                func(s *Snapshot) *int64 { return &s.Degraded },
+	TimedOut:                func(s *Snapshot) *int64 { return &s.TimedOut },
+	Resumed:                 func(s *Snapshot) *int64 { return &s.Resumed },
+	BusyNs:                  func(s *Snapshot) *int64 { return &s.BusyNs },
+	SendWaitNs:              func(s *Snapshot) *int64 { return &s.SendWaitNs },
+	ModelCacheHits:          func(s *Snapshot) *int64 { return &s.ModelCacheHits },
+	ModelCacheMisses:        func(s *Snapshot) *int64 { return &s.ModelCacheMisses },
+	ModelCacheCorrupt:       func(s *Snapshot) *int64 { return &s.ModelCacheCorrupt },
+	CheckpointBakLoads:      func(s *Snapshot) *int64 { return &s.CheckpointBakLoads },
+	CheckpointRenameRetries: func(s *Snapshot) *int64 { return &s.CheckpointRenameRetries },
+}
 
 // Metrics is a set of atomic cost counters shared by the evaluation
 // layers: the runner counts completed and skipped samples, the core/teta
@@ -13,55 +83,27 @@ import (
 // failure counts and degraded-recovery counts. All methods are safe on a
 // nil receiver, so call sites can pass counters through unconditionally.
 type Metrics struct {
-	samples    atomic.Int64
-	scIters    atomic.Int64
-	solves     atomic.Int64
-	stageEvals atomic.Int64
-	skipped    atomic.Int64
-	degraded   atomic.Int64
-	timedOut   atomic.Int64
-	resumed    atomic.Int64
-	busyNs     atomic.Int64
-	sendWaitNs atomic.Int64
-	mcHits     atomic.Int64
-	mcMisses   atomic.Int64
-	mcCorrupt  atomic.Int64
-	ckptBak    atomic.Int64
-	ckptRetry  atomic.Int64
-	failures   sync.Map // failure class (string) → *atomic.Int64
+	counters [numCounters]atomic.Int64
+	failures sync.Map // failure class (string) → *atomic.Int64
 }
 
 // Snapshot is a consistent-enough copy of the counters for reporting.
+// Each int64 field is the Counter of the same name; the field names are
+// the JSON keys journals and job results carry.
 type Snapshot struct {
-	Samples      int64 // completed sample evaluations (including skipped)
-	SCIterations int64 // Successive-Chords iterations
-	LinearSolves int64 // triangular solves during timestepping
-	StageEvals   int64 // stage transient evaluations
-	Skipped      int64 // samples excluded from the aggregate by a skip policy
-	Degraded     int64 // samples recovered through a degradation retry
-	TimedOut     int64 // evaluations abandoned at a SampleTimeout deadline
-	Resumed      int64 // samples restored from a checkpoint, not evaluated
-	// BusyNs is wall-clock nanoseconds workers spent inside evaluation
-	// batches (summed across workers). BusyNs/(workers·elapsed) is the
-	// run's worker utilization.
-	BusyNs int64
-	// SendWaitNs is wall-clock nanoseconds workers spent blocked handing
-	// finished batches to the ordered-delivery collector — the channel
-	// contention a flat scaling curve is made of.
-	SendWaitNs int64
-	// ModelCacheHits/Misses/Corrupt report the cross-run macromodel
-	// store: characterizations served from disk, characterizations that
-	// had to run (and were then stored), and on-disk entries rejected by
-	// the integrity check (deleted and recomputed). A fully warm run has
-	// zero misses.
-	ModelCacheHits    int64
-	ModelCacheMisses  int64
-	ModelCacheCorrupt int64
-	// CheckpointBakLoads counts resumes served from the .bak rotation
-	// because the primary snapshot was missing or corrupt;
-	// CheckpointRenameRetries counts atomic-install renames that needed
-	// a retry. Both were previously silent recoveries — non-zero values
-	// mean the journal survived real filesystem trouble.
+	Samples                 int64
+	SCIterations            int64
+	LinearSolves            int64
+	StageEvals              int64
+	Skipped                 int64
+	Degraded                int64
+	TimedOut                int64
+	Resumed                 int64
+	BusyNs                  int64
+	SendWaitNs              int64
+	ModelCacheHits          int64
+	ModelCacheMisses        int64
+	ModelCacheCorrupt       int64
 	CheckpointBakLoads      int64
 	CheckpointRenameRetries int64
 	// Failures maps failure class name → occurrence count (nil when no
@@ -69,115 +111,10 @@ type Snapshot struct {
 	Failures map[string]int64
 }
 
-func (m *Metrics) addSamples(n int) {
+// Add adds n to counter c.
+func (m *Metrics) Add(c Counter, n int64) {
 	if m != nil {
-		m.samples.Add(int64(n))
-	}
-}
-
-func (m *Metrics) addSkipped(n int) {
-	if m != nil {
-		m.skipped.Add(int64(n))
-	}
-}
-
-func (m *Metrics) addBusyNs(ns int64) {
-	if m != nil {
-		m.busyNs.Add(ns)
-	}
-}
-
-func (m *Metrics) addSendWaitNs(ns int64) {
-	if m != nil {
-		m.sendWaitNs.Add(ns)
-	}
-}
-
-// AddSC adds Successive-Chords iterations.
-func (m *Metrics) AddSC(n int) {
-	if m != nil {
-		m.scIters.Add(int64(n))
-	}
-}
-
-// AddSolves adds linear-solve counts.
-func (m *Metrics) AddSolves(n int) {
-	if m != nil {
-		m.solves.Add(int64(n))
-	}
-}
-
-// AddStageEvals adds stage transient evaluations.
-func (m *Metrics) AddStageEvals(n int) {
-	if m != nil {
-		m.stageEvals.Add(int64(n))
-	}
-}
-
-// AddDegraded counts samples that failed their primary evaluation but
-// were recovered by a degradation retry (e.g. exact per-sample
-// extraction).
-func (m *Metrics) AddDegraded(n int) {
-	if m != nil {
-		m.degraded.Add(int64(n))
-	}
-}
-
-// AddTimeout counts evaluations abandoned at a per-sample watchdog
-// deadline (whether the sample was later recovered by a ladder rung or
-// skipped).
-func (m *Metrics) AddTimeout(n int) {
-	if m != nil {
-		m.timedOut.Add(int64(n))
-	}
-}
-
-// AddResumed counts samples whose results were restored from a durable
-// checkpoint instead of being evaluated by this process.
-func (m *Metrics) AddResumed(n int) {
-	if m != nil {
-		m.resumed.Add(int64(n))
-	}
-}
-
-// AddModelCacheHit counts characterizations served from the cross-run
-// macromodel store instead of being recomputed.
-func (m *Metrics) AddModelCacheHit(n int) {
-	if m != nil {
-		m.mcHits.Add(int64(n))
-	}
-}
-
-// AddModelCacheMiss counts characterizations the store did not hold:
-// the extraction ran in this process and the result was written back.
-func (m *Metrics) AddModelCacheMiss(n int) {
-	if m != nil {
-		m.mcMisses.Add(int64(n))
-	}
-}
-
-// AddModelCacheCorrupt counts on-disk store entries that failed their
-// integrity check and were deleted and recomputed.
-func (m *Metrics) AddModelCacheCorrupt(n int) {
-	if m != nil {
-		m.mcCorrupt.Add(int64(n))
-	}
-}
-
-// AddCheckpointBakLoad counts snapshot loads that fell back to the
-// .bak rotation because the primary generation was missing or failed
-// its integrity check.
-func (m *Metrics) AddCheckpointBakLoad(n int) {
-	if m != nil {
-		m.ckptBak.Add(int64(n))
-	}
-}
-
-// AddCheckpointRenameRetry counts atomic-install renames of a snapshot
-// that failed transiently and were retried.
-func (m *Metrics) AddCheckpointRenameRetry(n int) {
-	if m != nil {
-		m.ckptRetry.Add(int64(n))
+		m.counters[c].Add(n)
 	}
 }
 
@@ -185,53 +122,27 @@ func (m *Metrics) AddCheckpointRenameRetry(n int) {
 // are free-form strings (the core layer passes its FailureClass names);
 // each class gets its own atomic counter, created on first use.
 func (m *Metrics) AddFailure(class string) {
-	if m == nil {
-		return
+	if m != nil {
+		m.addFailures(class, 1)
 	}
+}
+
+func (m *Metrics) addFailures(class string, n int64) {
 	c, ok := m.failures.Load(class)
 	if !ok {
 		c, _ = m.failures.LoadOrStore(class, new(atomic.Int64))
 	}
-	c.(*atomic.Int64).Add(1)
-}
-
-// FailureClasses returns the recorded failure class names, sorted.
-func (m *Metrics) FailureClasses() []string {
-	if m == nil {
-		return nil
-	}
-	var out []string
-	m.failures.Range(func(k, _ any) bool {
-		out = append(out, k.(string))
-		return true
-	})
-	sort.Strings(out)
-	return out
+	c.(*atomic.Int64).Add(n)
 }
 
 // Snapshot reads all counters. A nil receiver reads as zero.
 func (m *Metrics) Snapshot() Snapshot {
+	var s Snapshot
 	if m == nil {
-		return Snapshot{}
+		return s
 	}
-	s := Snapshot{
-		Samples:      m.samples.Load(),
-		SCIterations: m.scIters.Load(),
-		LinearSolves: m.solves.Load(),
-		StageEvals:   m.stageEvals.Load(),
-		Skipped:      m.skipped.Load(),
-		Degraded:     m.degraded.Load(),
-		TimedOut:     m.timedOut.Load(),
-		Resumed:      m.resumed.Load(),
-		BusyNs:       m.busyNs.Load(),
-		SendWaitNs:   m.sendWaitNs.Load(),
-
-		ModelCacheHits:    m.mcHits.Load(),
-		ModelCacheMisses:  m.mcMisses.Load(),
-		ModelCacheCorrupt: m.mcCorrupt.Load(),
-
-		CheckpointBakLoads:      m.ckptBak.Load(),
-		CheckpointRenameRetries: m.ckptRetry.Load(),
+	for c, field := range fields {
+		*field(&s) = m.counters[c].Load()
 	}
 	m.failures.Range(func(k, v any) bool {
 		if s.Failures == nil {
@@ -250,26 +161,10 @@ func (m *Metrics) Merge(s Snapshot) {
 	if m == nil {
 		return
 	}
-	m.samples.Add(s.Samples)
-	m.scIters.Add(s.SCIterations)
-	m.solves.Add(s.LinearSolves)
-	m.stageEvals.Add(s.StageEvals)
-	m.skipped.Add(s.Skipped)
-	m.degraded.Add(s.Degraded)
-	m.timedOut.Add(s.TimedOut)
-	m.resumed.Add(s.Resumed)
-	m.busyNs.Add(s.BusyNs)
-	m.sendWaitNs.Add(s.SendWaitNs)
-	m.mcHits.Add(s.ModelCacheHits)
-	m.mcMisses.Add(s.ModelCacheMisses)
-	m.mcCorrupt.Add(s.ModelCacheCorrupt)
-	m.ckptBak.Add(s.CheckpointBakLoads)
-	m.ckptRetry.Add(s.CheckpointRenameRetries)
+	for c, field := range fields {
+		m.counters[c].Add(*field(&s))
+	}
 	for class, n := range s.Failures {
-		c, ok := m.failures.Load(class)
-		if !ok {
-			c, _ = m.failures.LoadOrStore(class, new(atomic.Int64))
-		}
-		c.(*atomic.Int64).Add(n)
+		m.addFailures(class, n)
 	}
 }

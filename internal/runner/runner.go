@@ -47,30 +47,6 @@ func (e *skipError) Error() string {
 func (e *skipError) Is(target error) bool { return target == ErrSkip }
 func (e *skipError) Unwrap() error        { return e.cause }
 
-// WithRecovery wraps fn with a per-index recovery hook: when fn fails at
-// index i, rec runs once — on the same worker goroutine, with the same
-// per-worker state — and its outcome replaces the sample's. A rec that
-// returns (v, nil) repairs the sample; a SkipSample error excludes it; any
-// other error fails the run with the usual lowest-index-wins semantics.
-// Recovery must be a pure function of (i, cause) — state is a scratch
-// cache, not a memory — so results remain bit-identical at any worker
-// count. Errors already marked with ErrSkip bypass rec (fn has decided).
-func WithRecovery[S, T any](
-	fn func(ctx context.Context, i int, state S) (T, error),
-	rec func(ctx context.Context, i int, state S, cause error) (T, error),
-) func(ctx context.Context, i int, state S) (T, error) {
-	if rec == nil {
-		return fn
-	}
-	return func(ctx context.Context, i int, state S) (T, error) {
-		v, err := fn(ctx, i, state)
-		if err == nil || errors.Is(err, ErrSkip) {
-			return v, err
-		}
-		return rec(ctx, i, state, err)
-	}
-}
-
 // Options configures one Map run.
 type Options struct {
 	// Workers selects the evaluation parallelism: 0 runs serially on the
@@ -326,11 +302,11 @@ func MapWorker[S, T any](ctx context.Context, n int, opts Options, newState func
 					}
 					out = append(out, result[T]{i, v, err})
 				}
-				opts.Metrics.addBusyNs(time.Since(t0).Nanoseconds())
+				opts.Metrics.Add(BusyNs, time.Since(t0).Nanoseconds())
 				if len(out) > 0 {
 					t1 := time.Now()
 					results <- out
-					opts.Metrics.addSendWaitNs(time.Since(t1).Nanoseconds())
+					opts.Metrics.Add(SendWaitNs, time.Since(t1).Nanoseconds())
 				}
 				if ctx.Err() != nil {
 					return
@@ -358,7 +334,7 @@ func MapWorker[S, T any](ctx context.Context, n int, opts Options, newState func
 	for rs := range results {
 		for _, r := range rs {
 			done++
-			opts.Metrics.addSamples(1)
+			opts.Metrics.Add(Samples, 1)
 			if r.err != nil && !errors.Is(r.err, ErrSkip) {
 				if r.i < firstErrIdx {
 					firstErrIdx = r.i
@@ -373,7 +349,7 @@ func MapWorker[S, T any](ctx context.Context, n int, opts Options, newState func
 					}
 					delete(pending, nextOut)
 					if p.err != nil {
-						opts.Metrics.addSkipped(1)
+						opts.Metrics.Add(Skipped, 1)
 						if opts.OnSkip != nil {
 							opts.OnSkip(p.i, p.err)
 						}
@@ -407,7 +383,7 @@ func mapSerial[S, T any](ctx context.Context, n int, opts Options, newState func
 	every := opts.progressEvery(n)
 	ckpt := newCkptCadence(opts)
 	t0 := time.Now()
-	defer func() { opts.Metrics.addBusyNs(time.Since(t0).Nanoseconds()) }()
+	defer func() { opts.Metrics.Add(BusyNs, time.Since(t0).Nanoseconds()) }()
 	state := newState()
 	for i := opts.start(); i < n; i++ {
 		if err := ctx.Err(); err != nil {
@@ -418,8 +394,8 @@ func mapSerial[S, T any](ctx context.Context, n int, opts Options, newState func
 			if !errors.Is(err, ErrSkip) {
 				return fmt.Errorf("sample %d: %w", i, err)
 			}
-			opts.Metrics.addSamples(1)
-			opts.Metrics.addSkipped(1)
+			opts.Metrics.Add(Samples, 1)
+			opts.Metrics.Add(Skipped, 1)
 			if opts.OnSkip != nil {
 				opts.OnSkip(i, err)
 			}
@@ -429,7 +405,7 @@ func mapSerial[S, T any](ctx context.Context, n int, opts Options, newState func
 			}
 			continue
 		}
-		opts.Metrics.addSamples(1)
+		opts.Metrics.Add(Samples, 1)
 		if sink != nil {
 			sink(i, v)
 		}

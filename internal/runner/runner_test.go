@@ -2,8 +2,10 @@ package runner
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
+	"reflect"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -178,7 +180,7 @@ func TestMetricsAndProgress(t *testing.T) {
 			}
 		},
 	}, func(_ context.Context, i int) (int, error) {
-		m.AddSC(2)
+		m.Add(SCIterations, 2)
 		return i, nil
 	}, nil)
 	if err != nil {
@@ -198,19 +200,12 @@ func TestMetricsAndProgress(t *testing.T) {
 
 func TestMetricsNilSafe(t *testing.T) {
 	var m *Metrics
-	m.AddSC(1)
-	m.AddSolves(1)
-	m.AddStageEvals(1)
-	m.addSamples(1)
-	m.addSkipped(1)
-	m.AddDegraded(1)
-	m.AddFailure("sc-diverged")
-	if got := m.FailureClasses(); got != nil {
-		t.Fatalf("nil metrics must record no failure classes, got %v", got)
+	for c := Counter(0); c < numCounters; c++ {
+		m.Add(c, 1)
 	}
-	s := m.Snapshot()
-	if s.Samples != 0 || s.SCIterations != 0 || s.LinearSolves != 0 ||
-		s.StageEvals != 0 || s.Skipped != 0 || s.Degraded != 0 || s.Failures != nil {
+	m.AddFailure("sc-diverged")
+	m.Merge(Snapshot{Samples: 1, Failures: map[string]int64{"timeout": 1}})
+	if s := m.Snapshot(); !reflect.DeepEqual(s, Snapshot{}) {
 		t.Fatalf("nil metrics must read as zero, got %+v", s)
 	}
 }
@@ -460,14 +455,14 @@ func TestMapOnCheckpointCountsSkips(t *testing.T) {
 // counter, including the per-class failure map.
 func TestMetricsMerge(t *testing.T) {
 	var a Metrics
-	a.AddSC(5)
-	a.AddTimeout(2)
-	a.AddResumed(3)
+	a.Add(SCIterations, 5)
+	a.Add(TimedOut, 2)
+	a.Add(Resumed, 3)
 	a.AddFailure("timeout")
 	a.AddFailure("timeout")
 	a.AddFailure("sc-diverged")
 	var b Metrics
-	b.AddSC(7)
+	b.Add(SCIterations, 7)
 	b.AddFailure("timeout")
 	b.Merge(a.Snapshot())
 	s := b.Snapshot()
@@ -477,9 +472,41 @@ func TestMetricsMerge(t *testing.T) {
 	if s.Failures["timeout"] != 3 || s.Failures["sc-diverged"] != 1 {
 		t.Fatalf("merged failure classes wrong: %v", s.Failures)
 	}
-	// Nil receivers stay safe.
-	var nilM *Metrics
-	nilM.Merge(s)
-	nilM.AddTimeout(1)
-	nilM.AddResumed(1)
+}
+
+// TestSnapshotJSONGolden pins the Snapshot's JSON — its field names are
+// the keys journals and job results carry — and checks that every
+// Counter reaches its own field: each counter gets a distinct value, and
+// Merge(Snapshot()) must double every one of them.
+func TestSnapshotJSONGolden(t *testing.T) {
+	var m Metrics
+	for c := Counter(0); c < numCounters; c++ {
+		m.Add(c, int64(c)+1)
+	}
+	m.AddFailure("sc-diverged")
+	m.AddFailure("timeout")
+	m.AddFailure("timeout")
+	got, err := json.Marshal(m.Snapshot())
+	if err != nil {
+		t.Fatal(err)
+	}
+	const want = `{"Samples":1,"SCIterations":2,"LinearSolves":3,"StageEvals":4,"Skipped":5,` +
+		`"Degraded":6,"TimedOut":7,"Resumed":8,"BusyNs":9,"SendWaitNs":10,` +
+		`"ModelCacheHits":11,"ModelCacheMisses":12,"ModelCacheCorrupt":13,` +
+		`"CheckpointBakLoads":14,"CheckpointRenameRetries":15,` +
+		`"Failures":{"sc-diverged":1,"timeout":2}}`
+	if string(got) != want {
+		t.Fatalf("Snapshot JSON moved:\n got %s\nwant %s", got, want)
+	}
+	m.Merge(m.Snapshot())
+	doubled := Snapshot{
+		Samples: 2, SCIterations: 4, LinearSolves: 6, StageEvals: 8, Skipped: 10,
+		Degraded: 12, TimedOut: 14, Resumed: 16, BusyNs: 18, SendWaitNs: 20,
+		ModelCacheHits: 22, ModelCacheMisses: 24, ModelCacheCorrupt: 26,
+		CheckpointBakLoads: 28, CheckpointRenameRetries: 30,
+		Failures: map[string]int64{"sc-diverged": 2, "timeout": 4},
+	}
+	if s := m.Snapshot(); !reflect.DeepEqual(s, doubled) {
+		t.Fatalf("Merge(Snapshot()) = %+v, want every counter doubled: %+v", s, doubled)
+	}
 }

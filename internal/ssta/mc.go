@@ -268,9 +268,9 @@ func evalSample(g *Graph, order []*BlockModel, engs []core.Engine, scratch []*co
 			return sampleEval{}, fmt.Errorf("block %q: %w", bm.Key, err)
 		}
 		sc += ev.SCIters
-		m.AddSC(ev.SCIters)
-		m.AddSolves(ev.LinearSolves)
-		m.AddStageEvals(len(bm.Path.Stages))
+		m.Add(runner.SCIterations, int64(ev.SCIters))
+		m.Add(runner.LinearSolves, int64(ev.LinearSolves))
+		m.Add(runner.StageEvals, int64(len(bm.Path.Stages)))
 		// Suffix sums: delay from stage j's input to the block output.
 		suf := make([]float64, len(ev.StageDelays))
 		acc := 0.0

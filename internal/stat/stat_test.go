@@ -1,8 +1,6 @@
 package stat
 
 import (
-	"context"
-	"errors"
 	"math"
 	"testing"
 	"testing/quick"
@@ -290,39 +288,6 @@ func TestPCACovPath(t *testing.T) {
 	}
 	if !almostEq(p.Variances[0], 4, 1e-12) || !almostEq(p.Variances[1], 1, 1e-12) {
 		t.Fatalf("variances: %v", p.Variances)
-	}
-}
-
-func TestMapSamplesSequentialAndParallelAgree(t *testing.T) {
-	samples := LatinHypercube(NewRNG(3), 64, 3)
-	fn := func(i int, s []float64) (float64, error) {
-		return s[0]*100 + s[1]*10 + s[2] + float64(i), nil
-	}
-	seq, err := MapSamplesCtx(context.Background(), samples, 0, fn)
-	if err != nil {
-		t.Fatal(err)
-	}
-	par, err := MapSamplesCtx(context.Background(), samples, -1, fn)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range seq {
-		if seq[i] != par[i] {
-			t.Fatalf("order not preserved at %d", i)
-		}
-	}
-}
-
-func TestMapSamplesError(t *testing.T) {
-	boom := errors.New("boom")
-	_, err := MapSamplesCtx(context.Background(), [][]float64{{1}, {2}}, -1, func(i int, s []float64) (float64, error) {
-		if s[0] == 2 {
-			return 0, boom
-		}
-		return s[0], nil
-	})
-	if !errors.Is(err, boom) {
-		t.Fatalf("expected wrapped error, got %v", err)
 	}
 }
 

@@ -12,25 +12,6 @@ package stat
 // whose shortest-round-trip float encoding reproduces every finite
 // float64 exactly.
 
-// WelfordState is the serializable state of a Welford accumulator.
-type WelfordState struct {
-	N    int     `json:"n"`
-	Mean float64 `json:"mean"`
-	M2   float64 `json:"m2"`
-	Min  float64 `json:"min"`
-	Max  float64 `json:"max"`
-}
-
-// State captures the accumulator for a checkpoint.
-func (w *Welford) State() WelfordState {
-	return WelfordState{N: w.n, Mean: w.mean, M2: w.m2, Min: w.min, Max: w.max}
-}
-
-// Restore overwrites the accumulator with a captured state.
-func (w *Welford) Restore(s WelfordState) {
-	w.n, w.mean, w.m2, w.min, w.max = s.N, s.Mean, s.M2, s.Min, s.Max
-}
-
 // P2State is the serializable state of a P2Quantile estimator: the five
 // marker heights/positions, the (cumulatively accumulated) desired
 // positions, and the pre-warmup sample buffer for the n < 5 regime. The
@@ -252,26 +233,4 @@ func (s *WeightedSummary) Restore(st WeightedSummaryState) {
 	s.med.Restore(st.Med)
 	s.lo.Restore(st.Lo)
 	s.hi.Restore(st.Hi)
-}
-
-// HistogramState is the serializable state of a Histogram.
-type HistogramState struct {
-	Lo     float64 `json:"lo"`
-	Hi     float64 `json:"hi"`
-	Counts []int   `json:"counts"`
-	Total  int     `json:"total"`
-}
-
-// State captures the histogram for a checkpoint.
-func (h *Histogram) State() HistogramState {
-	counts := make([]int, len(h.Counts))
-	copy(counts, h.Counts)
-	return HistogramState{Lo: h.Lo, Hi: h.Hi, Counts: counts, Total: h.Total}
-}
-
-// Restore overwrites the histogram with a captured state.
-func (h *Histogram) Restore(s HistogramState) {
-	h.Lo, h.Hi, h.Total = s.Lo, s.Hi, s.Total
-	h.Counts = make([]int, len(s.Counts))
-	copy(h.Counts, s.Counts)
 }

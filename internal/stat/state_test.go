@@ -102,38 +102,6 @@ func TestStreamSummaryStateRoundTrip(t *testing.T) {
 	}
 }
 
-// TestWelfordStateRoundTrip checks the Welford accumulator alone: every
-// moment and extremum must continue bit-identically after a restore.
-func TestWelfordStateRoundTrip(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	for trial := 0; trial < 100; trial++ {
-		n := rng.Intn(50)
-		xs := make([]float64, n)
-		for i := range xs {
-			xs[i] = rng.NormFloat64()
-		}
-		k := 0
-		if n > 0 {
-			k = rng.Intn(n + 1)
-		}
-		var ref, a, b Welford
-		for _, x := range xs {
-			ref.Add(x)
-		}
-		for _, x := range xs[:k] {
-			a.Add(x)
-		}
-		b.Restore(jsonRoundTrip(t, a.State()))
-		for _, x := range xs[k:] {
-			b.Add(x)
-		}
-		if b.N() != ref.N() || !sameFloat(b.Mean(), ref.Mean()) || !sameFloat(b.Var(), ref.Var()) ||
-			!sameFloat(b.Min(), ref.Min()) || !sameFloat(b.Max(), ref.Max()) {
-			t.Fatalf("trial %d: welford state diverged after restore at k=%d of %d", trial, k, n)
-		}
-	}
-}
-
 // TestP2QuantileStateRoundTrip checks a single P² estimator across the
 // warmup boundary: snapshots taken below, at and above n=5 must all
 // continue bit-identically, including the desired-position accumulators.
@@ -183,21 +151,4 @@ func jsonString(t *testing.T, v any) string {
 		t.Fatal(err)
 	}
 	return string(buf)
-}
-
-// TestHistogramStateRoundTrip checks the histogram state survives the
-// JSON round trip with independent bin storage.
-func TestHistogramStateRoundTrip(t *testing.T) {
-	xs := []float64{1, 2, 2.5, 3, 7, 9, math.NaN()}
-	h := NewHistogram(xs, 4)
-	var g Histogram
-	g.Restore(jsonRoundTrip(t, h.State()))
-	if jsonString(t, g) != jsonString(t, *h) {
-		t.Fatalf("restored histogram %+v differs from original %+v", g, *h)
-	}
-	// The restored copy must own its bins.
-	g.Counts[0]++
-	if g.Counts[0] == h.Counts[0] {
-		t.Fatal("restored histogram shares bin storage with the original")
-	}
 }

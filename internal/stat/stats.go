@@ -1,13 +1,10 @@
 package stat
 
 import (
-	"context"
 	"fmt"
 	"math"
 	"sort"
 	"strings"
-
-	"lcsim/internal/runner"
 )
 
 // Summary holds basic sample statistics.
@@ -235,21 +232,4 @@ func BootstrapCI(xs []float64, statFn func([]float64) float64, b int, level floa
 	sort.Float64s(vals)
 	alpha := (1 - level) / 2
 	return Quantile(vals, alpha), Quantile(vals, 1-alpha)
-}
-
-// MapSamplesCtx evaluates fn over every sample row on a chunked worker
-// pool (workers: 0 = serial, -1 = GOMAXPROCS, n > 0 = exactly n),
-// preserving input order — results are bit-identical at any worker
-// count. The first error by sample index cancels outstanding work and is
-// returned wrapped with its index; a canceled ctx aborts the run and
-// returns ctx.Err() wrapped with the sample index reached.
-func MapSamplesCtx(ctx context.Context, samples [][]float64, workers int, fn func(i int, s []float64) (float64, error)) ([]float64, error) {
-	out := make([]float64, len(samples))
-	err := runner.Map(ctx, len(samples), runner.Options{Workers: workers},
-		func(_ context.Context, i int) (float64, error) { return fn(i, samples[i]) },
-		func(i int, v float64) { out[i] = v })
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
 }

@@ -1,11 +1,7 @@
 package stat
 
 import (
-	"context"
-	"errors"
 	"math"
-	"strings"
-	"sync/atomic"
 	"testing"
 )
 
@@ -14,29 +10,6 @@ func relErr(a, b float64) float64 {
 		return math.Abs(a)
 	}
 	return math.Abs(a-b) / math.Abs(b)
-}
-
-func TestWelfordMatchesSummarize(t *testing.T) {
-	rng := NewRNG(3)
-	xs := make([]float64, 5000)
-	var w Welford
-	for i := range xs {
-		xs[i] = 100e-12 + 5e-12*rng.NormFloat64()
-		w.Add(xs[i])
-	}
-	ref := Summarize(xs)
-	if w.N() != ref.N {
-		t.Fatalf("N = %d", w.N())
-	}
-	if relErr(w.Mean(), ref.Mean) > 1e-12 {
-		t.Fatalf("mean %g vs %g", w.Mean(), ref.Mean)
-	}
-	if relErr(w.Std(), ref.Std) > 1e-12 {
-		t.Fatalf("std %g vs %g", w.Std(), ref.Std)
-	}
-	if w.Min() != ref.Min || w.Max() != ref.Max {
-		t.Fatalf("min/max %g/%g vs %g/%g", w.Min(), w.Max(), ref.Min, ref.Max)
-	}
 }
 
 func TestP2QuantileAccuracy(t *testing.T) {
@@ -120,76 +93,6 @@ func sortFloats(xs []float64) {
 	for i := 1; i < len(xs); i++ {
 		for j := i; j > 0 && xs[j] < xs[j-1]; j-- {
 			xs[j], xs[j-1] = xs[j-1], xs[j]
-		}
-	}
-}
-
-func TestMapSamplesFirstErrorByIndexStopsEarly(t *testing.T) {
-	// The pre-runner implementation recorded whichever error finished
-	// first and let all remaining samples run to completion; the runtime
-	// must report the lowest-index error and abandon outstanding work.
-	const n = 4000
-	samples := make([][]float64, n)
-	for i := range samples {
-		samples[i] = []float64{float64(i)}
-	}
-	boom := errors.New("boom")
-	var evaluated atomic.Int64
-	for trial := 0; trial < 3; trial++ {
-		evaluated.Store(0)
-		_, err := MapSamplesCtx(context.Background(), samples, -1, func(i int, s []float64) (float64, error) {
-			evaluated.Add(1)
-			if i == 17 || i == 800 {
-				return 0, boom
-			}
-			return s[0], nil
-		})
-		if !errors.Is(err, boom) {
-			t.Fatalf("expected boom, got %v", err)
-		}
-		if !strings.HasPrefix(err.Error(), "sample 17:") {
-			t.Fatalf("first error by index must win deterministically: %v", err)
-		}
-		if ev := evaluated.Load(); ev >= n {
-			t.Fatalf("error did not stop outstanding samples: %d of %d ran", ev, n)
-		}
-	}
-}
-
-func TestMapSamplesCtxCancellation(t *testing.T) {
-	samples := make([][]float64, 2000)
-	for i := range samples {
-		samples[i] = []float64{1}
-	}
-	ctx, cancel := context.WithCancel(context.Background())
-	var done atomic.Int64
-	_, err := MapSamplesCtx(ctx, samples, 4, func(i int, s []float64) (float64, error) {
-		if done.Add(1) == 50 {
-			cancel()
-		}
-		return s[0], nil
-	})
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("want context.Canceled, got %v", err)
-	}
-}
-
-func TestMapSamplesCtxWorkerInvariance(t *testing.T) {
-	samples := LatinHypercube(NewRNG(9), 128, 2)
-	fn := func(i int, s []float64) (float64, error) { return s[0] - s[1] + float64(i), nil }
-	ref, err := MapSamplesCtx(context.Background(), samples, 1, fn)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, w := range []int{4, 16} {
-		got, err := MapSamplesCtx(context.Background(), samples, w, fn)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := range ref {
-			if got[i] != ref[i] {
-				t.Fatalf("workers=%d differs at %d", w, i)
-			}
 		}
 	}
 }

@@ -31,6 +31,8 @@ type Scratch struct {
 	r, dIdv, vpTry, iTry, dv []float64
 	jac                      *mat.Dense
 	lu                       *mat.LU
+	// zdc is the sample's DC impedance Z(0) the Newton solves against.
+	zdc *mat.Dense
 
 	// res backs the Result returned by RunWith: the waveform arrays are
 	// reused across samples, so a Result is valid only until the next run
@@ -51,6 +53,7 @@ func (st *Stage) NewScratch() *Scratch {
 		r: vec(), dIdv: vec(), vpTry: vec(), iTry: vec(), dv: vec(),
 		jac: mat.NewDense(np, np),
 		lu:  mat.NewLU(np),
+		zdc: mat.NewDense(np, np),
 	}
 	if st.varmac != nil {
 		sc.me = st.varmac.NewEval()
@@ -101,7 +104,7 @@ func (st *Stage) simulate(sc *Scratch, pr *poleres.Macromodel, rs RunSpec) (*Res
 			sc.vin0[di][k] = w.At(0)
 		}
 	}
-	if err := st.dcInit(sc, pr.DCZ()); err != nil {
+	if err := st.dcInit(sc, pr); err != nil {
 		return nil, err
 	}
 	sc.cv.InitDC(sc.iN)
@@ -207,8 +210,9 @@ func (st *Stage) simulate(sc *Scratch, pr *poleres.Macromodel, rs RunSpec) (*Res
 }
 
 // dcInit solves the t=0 quasi-static operating point for the sample
-// whose driver states and t=0 inputs sc already holds, filling sc.vp
-// (port voltages), sc.iN (Norton currents) and sc.unk (driver unknowns).
+// whose pole/residue load is pr and whose driver states and t=0 inputs sc
+// already holds, filling sc.zdc (Zdc = Z(0) of pr), sc.vp (port
+// voltages), sc.iN (Norton currents) and sc.unk (driver unknowns).
 // The DC load can be capacitively open (Z(0) large), where plain SC
 // iteration stalls; a small Newton on the port residual
 // r(vp) = vp − Zdc·I_N(vp) is robust and only runs once per sample. The
@@ -217,7 +221,8 @@ func (st *Stage) simulate(sc *Scratch, pr *poleres.Macromodel, rs RunSpec) (*Res
 // resolution); at DC the driver supplies no capacitive current, so the
 // current into the effective load is the DC Norton source plus the
 // conductance difference times the port voltage.
-func (st *Stage) dcInit(sc *Scratch, zdc *mat.Dense) error {
+func (st *Stage) dcInit(sc *Scratch, pr *poleres.Macromodel) error {
+	pr.DCZInto(sc.zdc)
 	vp, unk := sc.vp, sc.unk
 	dcOK := false
 	// A primed DC solution whose t=0 inputs match this sample exactly is
@@ -231,7 +236,7 @@ func (st *Stage) dcInit(sc *Scratch, zdc *mat.Dense) error {
 		for di := range unk {
 			copy(unk[di], w.unk[di])
 		}
-		dcOK = st.dcNewton(sc, zdc)
+		dcOK = st.dcNewton(sc)
 	}
 	if !dcOK {
 		// Multiple starting points: digital driver outputs sit near a
@@ -246,7 +251,7 @@ func (st *Stage) dcInit(sc *Scratch, zdc *mat.Dense) error {
 					unk[di][k] = start
 				}
 			}
-			if st.dcNewton(sc, zdc) {
+			if st.dcNewton(sc) {
 				dcOK = true
 				break
 			}
@@ -267,9 +272,9 @@ func (st *Stage) dcInit(sc *Scratch, zdc *mat.Dense) error {
 
 // dcNewton runs the damped Newton iteration from the current sc.vp and
 // sc.unk contents and reports whether the port residual converged.
-func (st *Stage) dcNewton(sc *Scratch, zdc *mat.Dense) bool {
+func (st *Stage) dcNewton(sc *Scratch) bool {
 	np := len(sc.vp)
-	vp, iN, r := sc.vp, sc.iN, sc.r
+	vp, iN, r, zdc := sc.vp, sc.iN, sc.r, sc.zdc
 	for it := 0; it < 100; it++ {
 		st.dcNorton(sc, iN, vp)
 		resid := 0.0

@@ -386,7 +386,7 @@ func (st *Stage) PrimeDC(inputs [][]circuit.Waveform) error {
 		}
 	}
 	st.warm = nil // prime from the standard start sequence
-	if err := st.dcInit(sc, pr.DCZ()); err != nil {
+	if err := st.dcInit(sc, pr); err != nil {
 		return fmt.Errorf("teta: PrimeDC: %w", err)
 	}
 	st.warm = &dcWarm{
