@@ -236,14 +236,7 @@ func BenchmarkAblationFilter(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				maxErr = 0
-				for k := range res.T {
-					if d := res.PortV[0][k] - ref.PortV[0][k]; d > maxErr {
-						maxErr = d
-					} else if -d > maxErr {
-						maxErr = -d
-					}
-				}
+				maxErr = res.MaxDiff(ref, 0)
 			}
 			b.ReportMetric(maxErr*1e3, "maxErr-mV")
 		})

@@ -53,8 +53,10 @@ func SetFS(f faultinj.FS) faultinj.FS {
 }
 
 // Version is the snapshot schema version. Load rejects snapshots written
-// by a different (future or obsolete) schema.
-const Version = 1
+// by a different (future or obsolete) schema. Version 2: stage transients
+// end by the settle rule, so a version-1 journal holds samples this build
+// would not reproduce bit for bit.
+const Version = 2
 
 // ErrCorruptCheckpoint reports a snapshot file that failed its integrity
 // check: truncated, bit-flipped (CRC32 mismatch), or not a snapshot at

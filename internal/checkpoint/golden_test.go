@@ -2,35 +2,62 @@ package checkpoint
 
 import (
 	"encoding/json"
+	"errors"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 )
 
-// TestSaveGoldenBytes pins the journal's on-disk format: the
-// {"magic","crc32"} header line, the snapshot's field order and the
-// trailing newline. A journal written by an older binary must stay
-// loadable, so these bytes may change only with Version.
-func TestSaveGoldenBytes(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "golden.ck")
-	snap := &Snapshot{
+// goldenSnapshot is the snapshot whose journal bytes the golden tests
+// pin.
+func goldenSnapshot() *Snapshot {
+	return &Snapshot{
 		Fingerprint: Fingerprint{Kind: "mc", Seed: 7, N: 100, Sampler: "lhs", Engine: "teta-fast", Ladder: "teta-exact", Policy: "degrade", Sources: "abc123", Proposal: "is:1"},
 		Next:        42,
 		State:       json.RawMessage(`{"mean":1.5,"n":42}`),
 	}
-	if err := Save(path, snap, nil); err != nil {
+}
+
+// TestSaveGoldenBytes pins the journal's on-disk format: the
+// {"magic","crc32"} header line, the snapshot's field order and the
+// trailing newline. A journal written by an older binary of the same
+// Version must stay loadable, so these bytes may change only with
+// Version.
+func TestSaveGoldenBytes(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "golden.ck")
+	if err := Save(path, goldenSnapshot(), nil); err != nil {
 		t.Fatal(err)
 	}
 	got, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	const want = `{"magic":"lcsim-checkpoint","crc32":845891771}` + "\n" +
-		`{"version":1,"fingerprint":{"kind":"mc","seed":7,"n":100,"sampler":"lhs","engine":"teta-fast","ladder":"teta-exact","policy":"degrade","sources":"abc123","proposal":"is:1"},"next":42,"state":{"mean":1.5,"n":42}}` + "\n"
+	const want = `{"magic":"lcsim-checkpoint","crc32":1992621452}` + "\n" +
+		`{"version":2,"fingerprint":{"kind":"mc","seed":7,"n":100,"sampler":"lhs","engine":"teta-fast","ladder":"teta-exact","policy":"degrade","sources":"abc123","proposal":"is:1"},"next":42,"state":{"mean":1.5,"n":42}}` + "\n"
 	if string(got) != want {
 		t.Fatalf("journal bytes moved:\n got %q\nwant %q", got, want)
 	}
 	if _, _, err := Load(path, nil); err != nil {
 		t.Fatalf("golden journal does not load: %v", err)
+	}
+}
+
+// TestLoadRefusesVersion1Journal loads the exact bytes a version-1 build
+// wrote for the golden snapshot. Version-1 samples came from stage
+// transients that ran to TStop, which this build's settle rule ends
+// earlier, so resuming one would mix two sets of result bits: Load must
+// refuse it as ErrCorruptCheckpoint, the error core.Sweep fails a resume
+// on and lcsimd restarts a job from sample 0 on.
+func TestLoadRefusesVersion1Journal(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "v1.ck")
+	const v1 = `{"magic":"lcsim-checkpoint","crc32":845891771}` + "\n" +
+		`{"version":1,"fingerprint":{"kind":"mc","seed":7,"n":100,"sampler":"lhs","engine":"teta-fast","ladder":"teta-exact","policy":"degrade","sources":"abc123","proposal":"is:1"},"next":42,"state":{"mean":1.5,"n":42}}` + "\n"
+	if err := os.WriteFile(path, []byte(v1), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	_, _, err := Load(path, nil)
+	if !errors.Is(err, ErrCorruptCheckpoint) || !strings.Contains(err.Error(), "schema version 1") {
+		t.Fatalf("version-1 journal: got %v, want a schema-version refusal wrapping ErrCorruptCheckpoint", err)
 	}
 }

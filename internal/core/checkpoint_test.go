@@ -44,23 +44,37 @@ func mcCheckpointCfg(p *Path, workers int, keep bool) MCConfig {
 }
 
 // interruptedRun runs cfg with checkpointing until roughly cancelAt
-// samples have completed, then cancels — standing in for a SIGKILL — and
-// returns the checkpoint path. The run must NOT have completed.
+// samples have completed and a journal exists, then cancels — standing
+// in for a SIGKILL — and returns the checkpoint path. The run must NOT
+// have completed.
 func interruptedRun(t *testing.T, p *Path, cfg MCConfig, path string, cancelAt int) {
 	t.Helper()
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	cfg.Checkpoint = &checkpoint.Config{Path: path, Every: 5}
-	cfg.Progress = func(done, total int) {
-		if done >= cancelAt {
-			cancel()
-		}
-	}
+	cfg.Progress = cancelOnceJournaled(cancel, path, cancelAt)
 	if _, err := p.MonteCarloCtx(ctx, cfg); err == nil {
 		t.Fatal("interrupted run unexpectedly completed; cannot exercise resume")
 	}
 	if _, err := os.Stat(path); err != nil {
 		t.Fatalf("no checkpoint written before the interrupt: %v", err)
+	}
+}
+
+// cancelOnceJournaled returns a Progress callback that cancels once at
+// least cancelAt samples have completed and the journal at path exists.
+// Samples complete out of order at several workers, so a completion
+// count alone can pass cancelAt before the delivered prefix reaches the
+// first flush. Progress runs on the delivery goroutine right after each
+// flush, so the cancel lands inside the sweep with a journal on disk.
+func cancelOnceJournaled(cancel context.CancelFunc, path string, cancelAt int) func(done, total int) {
+	return func(done, total int) {
+		if done < cancelAt {
+			return
+		}
+		if _, err := os.Stat(path); err == nil {
+			cancel()
+		}
 	}
 }
 
@@ -285,11 +299,7 @@ func TestSkewCheckpointResumeBitIdentical(t *testing.T) {
 	defer cancel()
 	ic := cfg()
 	ic.Checkpoint = &checkpoint.Config{Path: path, Every: 3}
-	ic.Progress = func(done, total int) {
-		if done >= 6 {
-			cancel()
-		}
-	}
+	ic.Progress = cancelOnceJournaled(cancel, path, 6)
 	if _, err := pp.MonteCarloSkewCtx(ctx, ic); err == nil {
 		t.Fatal("interrupted skew run unexpectedly completed")
 	}

@@ -172,11 +172,7 @@ func interruptedISRun(t *testing.T, p *Path, cfg ISConfig, path string, cancelAt
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	cfg.Checkpoint = &checkpoint.Config{Path: path, Every: 5}
-	cfg.Progress = func(done, total int) {
-		if done >= cancelAt {
-			cancel()
-		}
-	}
+	cfg.Progress = cancelOnceJournaled(cancel, path, cancelAt)
 	if _, err := p.ImportanceYieldCtx(ctx, cfg); err == nil {
 		t.Fatal("interrupted IS run unexpectedly completed; cannot exercise resume")
 	}

@@ -231,12 +231,7 @@ func RunFigure3() (*Figure3Result, error) {
 		{Label: "nominal p=0", T: nominal.T, V: nominal.PortV[0]},
 		{Label: "extreme p=0.1 (exact)", T: extreme.T, V: extreme.PortV[0]},
 		{Label: "variational macromodel p=0.1", T: recon.T, V: recon.PortV[0]},
-	}}
-	for i := range extreme.T {
-		if d := abs(recon.PortV[0][i] - extreme.PortV[0][i]); d > res.MaxErrV {
-			res.MaxErrV = d
-		}
-	}
+	}, MaxErrV: recon.MaxDiff(extreme, 0)}
 	we, _ := extreme.PortWaveform(0)
 	wr, _ := recon.PortWaveform(0)
 	mid := cfg.Tech.VDD / 2

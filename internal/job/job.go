@@ -39,7 +39,9 @@ import (
 // SpecVersion is the job-spec schema version this build reads and
 // writes. Parse rejects any other value: a spec is a durable artifact,
 // and silently reinterpreting an old one is worse than refusing it.
-const SpecVersion = 1
+// Version 2: stage transients end by the settle rule, which moves path
+// Monte-Carlo results without changing a spec's fields.
+const SpecVersion = 2
 
 // Duration is a time.Duration that serializes as a human-readable
 // string ("150ms", "2m30s") and unmarshals from either that form or a

@@ -74,7 +74,7 @@ func TestSpecMarshalParseRoundTrip(t *testing.T) {
 // TestParseRejectsUnknownField: a typo in a spec must fail loudly, not
 // silently run defaults.
 func TestParseRejectsUnknownField(t *testing.T) {
-	_, err := Parse([]byte(`{"version":1,"driver":"path","run":{"seed":1},"paramz":{}}`))
+	_, err := Parse([]byte(`{"version":2,"driver":"path","run":{"seed":1},"paramz":{}}`))
 	if err == nil {
 		t.Fatal("unknown top-level field accepted")
 	}
@@ -82,9 +82,12 @@ func TestParseRejectsUnknownField(t *testing.T) {
 
 // TestParseRejectsVersionMismatch: a spec is a durable artifact; any
 // version this build does not read is refused, never reinterpreted.
+// Version 1 specs predate the settle rule, which moved path MC results
+// at an unchanged spec hash, so they are refused too.
 func TestParseRejectsVersionMismatch(t *testing.T) {
 	for _, in := range []string{
-		`{"version":2,"driver":"path","run":{"seed":1}}`,
+		`{"version":1,"driver":"path","run":{"seed":1}}`,
+		`{"version":3,"driver":"path","run":{"seed":1}}`,
 		`{"driver":"path","run":{"seed":1}}`, // version 0 (absent)
 	} {
 		if _, err := Parse([]byte(in)); err == nil {
@@ -94,7 +97,7 @@ func TestParseRejectsVersionMismatch(t *testing.T) {
 }
 
 func TestParseRejectsMissingDriver(t *testing.T) {
-	if _, err := Parse([]byte(`{"version":1,"run":{"seed":1}}`)); err == nil {
+	if _, err := Parse([]byte(`{"version":2,"run":{"seed":1}}`)); err == nil {
 		t.Fatal("spec without a driver accepted")
 	}
 }
@@ -114,9 +117,9 @@ func mustHash(t *testing.T, s *Spec) string {
 // TestHashIgnoresParamFieldOrder: the hash is a content address — JSON
 // field order is presentation, not identity.
 func TestHashIgnoresParamFieldOrder(t *testing.T) {
-	a := &Spec{Version: 1, Driver: "path", Run: RunSpec{Seed: 3},
+	a := &Spec{Version: SpecVersion, Driver: "path", Run: RunSpec{Seed: 3},
 		Params: json.RawMessage(`{"cells":["INV","NAND2"],"elems":10,"mc":500}`)}
-	b := &Spec{Version: 1, Driver: "path", Run: RunSpec{Seed: 3},
+	b := &Spec{Version: SpecVersion, Driver: "path", Run: RunSpec{Seed: 3},
 		Params: json.RawMessage(`{"mc":500,"elems":10,"cells":["INV","NAND2"]}`)}
 	if ha, hb := mustHash(t, a), mustHash(t, b); ha != hb {
 		t.Fatalf("param field order changed the hash: %s vs %s", ha, hb)
@@ -127,9 +130,9 @@ func TestHashIgnoresParamFieldOrder(t *testing.T) {
 // checkpoint journaling do not change results, so they must not change
 // the spec's identity either.
 func TestHashIgnoresExecutionWiring(t *testing.T) {
-	base := &Spec{Version: 1, Driver: "path", Run: RunSpec{Seed: 3, Engine: "teta-exact"},
+	base := &Spec{Version: SpecVersion, Driver: "path", Run: RunSpec{Seed: 3, Engine: "teta-exact"},
 		Params: json.RawMessage(`{"mc":500}`)}
-	wired := &Spec{Version: 1, Driver: "path", Run: RunSpec{
+	wired := &Spec{Version: SpecVersion, Driver: "path", Run: RunSpec{
 		Seed: 3, Engine: "teta-exact",
 		Workers: 8, Batch: 3,
 		Timeout:       Duration(time.Minute),
@@ -144,8 +147,8 @@ func TestHashIgnoresExecutionWiring(t *testing.T) {
 // TestHashNormalizesFailurePolicy: "" and its default spelling are the
 // same policy and must share one hash.
 func TestHashNormalizesFailurePolicy(t *testing.T) {
-	a := &Spec{Version: 1, Driver: "path", Run: RunSpec{Seed: 1}}
-	b := &Spec{Version: 1, Driver: "path", Run: RunSpec{Seed: 1, OnFailure: "fail-fast"}}
+	a := &Spec{Version: SpecVersion, Driver: "path", Run: RunSpec{Seed: 1}}
+	b := &Spec{Version: SpecVersion, Driver: "path", Run: RunSpec{Seed: 1, OnFailure: "fail-fast"}}
 	if ha, hb := mustHash(t, a), mustHash(t, b); ha != hb {
 		t.Fatalf(`OnFailure "" and "fail-fast" hash differently: %s vs %s`, ha, hb)
 	}
@@ -155,7 +158,7 @@ func TestHashNormalizesFailurePolicy(t *testing.T) {
 // run computes must change the hash.
 func TestHashCoversStatisticalIdentity(t *testing.T) {
 	mk := func() *Spec {
-		return &Spec{Version: 1, Driver: "path", Run: RunSpec{Seed: 3, Engine: "teta-exact"},
+		return &Spec{Version: SpecVersion, Driver: "path", Run: RunSpec{Seed: 3, Engine: "teta-exact"},
 			Params: json.RawMessage(`{"mc":500}`)}
 	}
 	base := mustHash(t, mk())
@@ -180,7 +183,7 @@ func TestHashCoversStatisticalIdentity(t *testing.T) {
 }
 
 func TestHashRejectsBadPolicy(t *testing.T) {
-	s := &Spec{Version: 1, Driver: "path", Run: RunSpec{OnFailure: "explode"}}
+	s := &Spec{Version: SpecVersion, Driver: "path", Run: RunSpec{OnFailure: "explode"}}
 	if _, err := s.Hash(); err == nil {
 		t.Fatal("unknown failure policy hashed instead of erroring")
 	}
@@ -276,7 +279,7 @@ func TestRegisterPanicsOnDuplicate(t *testing.T) {
 }
 
 func TestRunRejectsUnknownDriver(t *testing.T) {
-	spec := &Spec{Version: 1, Driver: "no-such-driver", Run: RunSpec{Seed: 1}}
+	spec := &Spec{Version: SpecVersion, Driver: "no-such-driver", Run: RunSpec{Seed: 1}}
 	if _, err := Run(context.Background(), spec, nil); err == nil {
 		t.Fatal("unknown driver ran")
 	}
@@ -285,7 +288,7 @@ func TestRunRejectsUnknownDriver(t *testing.T) {
 // TestDecodeParamsRejectsUnknownKnob: a misspelled driver parameter must
 // not silently run defaults.
 func TestDecodeParamsRejectsUnknownKnob(t *testing.T) {
-	s := &Spec{Version: 1, Driver: "path", Params: json.RawMessage(`{"mc":500,"gaa":true}`)}
+	s := &Spec{Version: SpecVersion, Driver: "path", Params: json.RawMessage(`{"mc":500,"gaa":true}`)}
 	var p PathParams
 	if err := decodeParams(s, &p); err == nil {
 		t.Fatal("unknown param field accepted")

@@ -137,7 +137,7 @@ func TestRunConcurrentSharedEnv(t *testing.T) {
 // non-shardable, and bad params surface as errors.
 func TestSweepSamples(t *testing.T) {
 	mk := func(driver, params string) *Spec {
-		return &Spec{Version: 1, Driver: driver, Run: RunSpec{Seed: 1}, Params: json.RawMessage(params)}
+		return &Spec{Version: SpecVersion, Driver: driver, Run: RunSpec{Seed: 1}, Params: json.RawMessage(params)}
 	}
 	if n, ok, err := SweepSamples(mk("path", `{"mc":120}`)); err != nil || !ok || n != 120 {
 		t.Fatalf("path: (%d, %v, %v), want (120, true, nil)", n, ok, err)

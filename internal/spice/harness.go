@@ -31,8 +31,11 @@ type StageSpec struct {
 	Tech      *device.ModelSet
 	Drivers   []HarnessDriver
 	BuildLoad func() (*circuit.Netlist, error)
-	Probe     string  // probed node (the stage output seen downstream)
-	DT, TStop float64 // transient window (matching the TETA stage's)
+	Probe     string // probed node (the stage output seen downstream)
+	// DT and TStop match the TETA stage's window. TStop is a cap: like
+	// the TETA stage, a run ends once the settle rule (circuit.Settle)
+	// holds over the driver outputs and the probe.
+	DT, TStop float64
 }
 
 // StageHarness evaluates a StageSpec with the Newton transient simulator,
@@ -101,7 +104,11 @@ func (h *StageHarness) Eval(w map[string]float64, dl, dvt float64, ins [][]circu
 			return nil, Stats{}, fmt.Errorf("spice: harness driver %d: %w", d, err)
 		}
 	}
-	sim, err := NewSimulator(nl, Options{DT: spec.DT, TStop: spec.TStop, Models: spec.Tech, W: w})
+	settle := []string{spec.Probe}
+	for _, drv := range spec.Drivers {
+		settle = append(settle, drv.Out)
+	}
+	sim, err := NewSimulator(nl, Options{DT: spec.DT, TStop: spec.TStop, Models: spec.Tech, W: w, SettleNodes: settle})
 	if err != nil {
 		return nil, Stats{}, err
 	}

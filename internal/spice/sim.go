@@ -26,7 +26,7 @@ var ErrNoConvergence = errors.New("spice: newton iteration did not converge")
 // Options configures a simulation run.
 type Options struct {
 	DT    float64 // fixed timestep, s
-	TStop float64 // end time, s
+	TStop float64 // end time, s (a cap when SettleNodes is set)
 
 	MaxNewton int     // per-timestep Newton limit (default 50)
 	AbsTol    float64 // voltage tolerance, V (default 1e-6)
@@ -44,6 +44,13 @@ type Options struct {
 
 	W      map[string]float64 // variation-parameter sample for element values
 	Models *device.ModelSet   // device model set (required when MOSFETs present)
+
+	// SettleNodes, when set, ends a fixed-step run at the step at which
+	// the settle rule (circuit.Settle) holds over these nodes, with every
+	// independent source as an input and Models.VDD as the supply.
+	// StageHarness sets it to its driver outputs and probe, so a golden
+	// stage run spans the same window as the TETA stage it checks.
+	SettleNodes []string
 }
 
 func (o *Options) setDefaults() error {
@@ -64,6 +71,9 @@ func (o *Options) setDefaults() error {
 	}
 	if o.DVLimit == 0 {
 		o.DVLimit = 2
+	}
+	if len(o.SettleNodes) > 0 && (o.Adaptive || o.Models == nil) {
+		return fmt.Errorf("spice: SettleNodes needs a fixed-step run and a model set")
 	}
 	if o.Adaptive {
 		if o.DTMin <= 0 {

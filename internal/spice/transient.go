@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 
+	"lcsim/internal/circuit"
 	"lcsim/internal/sparse"
 )
 
@@ -19,18 +20,19 @@ type transState struct {
 // Run executes the transient analysis, probing the named nodes. With
 // Options.Adaptive the timestep is controlled by a local-truncation-error
 // estimate (predictor/corrector comparison), as general-purpose SPICE
-// implementations do; otherwise the step is fixed at Options.DT.
+// implementations do; otherwise the step is fixed at Options.DT, and
+// Options.SettleNodes may end the run before TStop.
 func (s *Simulator) Run(probes []string) (*Result, error) {
 	if err := s.buildStatic(); err != nil {
 		return nil, err
 	}
-	probeIdx := make([]int, len(probes))
-	for i, p := range probes {
-		id := s.nl.Node(p)
-		if id < 0 {
-			return nil, fmt.Errorf("spice: cannot probe ground")
-		}
-		probeIdx[i] = int(id)
+	probeIdx, err := s.nodeIndices(probes)
+	if err != nil {
+		return nil, err
+	}
+	settleIdx, err := s.nodeIndices(s.opts.SettleNodes)
+	if err != nil {
+		return nil, err
 	}
 
 	v0, dcIter, err := s.dcOperatingPoint()
@@ -66,6 +68,13 @@ func (s *Simulator) Run(probes []string) (*Result, error) {
 	record(0, st.v)
 
 	if !s.opts.Adaptive {
+		var settle *circuit.Settle
+		var settleV []float64
+		if len(settleIdx) > 0 {
+			settle = new(circuit.Settle)
+			settleV = make([]float64, len(settleIdx))
+			settle.Reset(s.opts.Models.VDD, gather(settleV, st.v, settleIdx), s.sourceWaveforms())
+		}
 		dt := s.opts.DT
 		nSteps := int(s.opts.TStop/dt + 0.5)
 		for step := 1; step <= nSteps; step++ {
@@ -79,6 +88,9 @@ func (s *Simulator) Run(probes []string) (*Result, error) {
 			s.commitStep(st, vNew, dt, trap)
 			record(t, st.v)
 			s.stats.Steps = step
+			if settle != nil && settle.Done(t, gather(settleV, st.v, settleIdx)) {
+				break
+			}
 		}
 		res.Stats = s.stats
 		return res, nil
@@ -135,6 +147,40 @@ func (s *Simulator) Run(probes []string) (*Result, error) {
 	}
 	res.Stats = s.stats
 	return res, nil
+}
+
+// nodeIndices resolves node names to MNA indices.
+func (s *Simulator) nodeIndices(names []string) ([]int, error) {
+	idx := make([]int, len(names))
+	for i, name := range names {
+		id := s.nl.Node(name)
+		if id < 0 {
+			return nil, fmt.Errorf("spice: cannot probe ground")
+		}
+		idx[i] = int(id)
+	}
+	return idx, nil
+}
+
+// gather copies v at the indices idx into dst and returns it.
+func gather(dst, v []float64, idx []int) []float64 {
+	for i, k := range idx {
+		dst[i] = v[k]
+	}
+	return dst
+}
+
+// sourceWaveforms lists the waveforms of every independent source, the
+// inputs the settle rule waits on.
+func (s *Simulator) sourceWaveforms() []circuit.Waveform {
+	var ws []circuit.Waveform
+	for _, v := range s.nl.VSources {
+		ws = append(ws, v.W)
+	}
+	for _, i := range s.nl.ISources {
+		ws = append(ws, i.W)
+	}
+	return ws
 }
 
 func vAt(v []float64, i int) float64 {

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 
+	"lcsim/internal/circuit"
 	"lcsim/internal/mat"
 	"lcsim/internal/poleres"
 )
@@ -11,9 +12,10 @@ import (
 // Scratch holds every reusable buffer one worker needs to evaluate
 // samples: the macromodel evaluation buffer, the convolver (whose
 // recurrence coefficients are memoized across samples with identical
-// poles), the driver-side vectors of the SC loop and the DC Newton
-// workspace. A Scratch must not be shared between concurrent runs;
-// create one per worker with NewScratch and thread it through RunWith.
+// poles), the driver-side vectors of the SC loop, the settle-rule state
+// and the DC Newton workspace. A Scratch must not be shared between
+// concurrent runs; create one per worker with NewScratch and thread it
+// through RunWith.
 type Scratch struct {
 	me *poleres.MacroEval
 	cv *poleres.Convolver
@@ -25,6 +27,9 @@ type Scratch struct {
 
 	// Per-driver solve buffers: rhs, Norton solve scratch, internals rhs.
 	bBuf, xBuf, biBuf [][]float64
+
+	// settle decides where the timestep loop ends.
+	settle circuit.Settle
 
 	// DC Newton workspace: residual, Norton slopes, perturbed port
 	// voltages and currents, the update, and the Jacobian with its LU.
@@ -87,7 +92,9 @@ func (st *Stage) stabilize(pr *poleres.Macromodel) poleres.StabReport {
 // simulate runs one sample's Successive-Chords transient against its
 // pole/residue load pr, which it stabilizes in place: it reconfigures
 // the scratch convolver, solves the DC start and runs the timestep loop,
-// which allocates nothing. The Result is backed by sc.
+// which allocates nothing. The loop ends at TStop or, earlier, after the
+// step at which the settle rule (circuit.Settle) ends it over every
+// port. The Result is backed by sc.
 func (st *Stage) simulate(sc *Scratch, pr *poleres.Macromodel, rs RunSpec) (*Result, error) {
 	rep := st.stabilize(pr)
 	stats := RunStats{UnstablePoles: len(rep.Removed), BetaMin: rep.BetaMin, BetaMax: rep.BetaMax}
@@ -136,6 +143,7 @@ func (st *Stage) simulate(sc *Scratch, pr *poleres.Macromodel, rs RunSpec) (*Res
 		}
 	}
 	record(0, sc.vp)
+	sc.settle.Reset(st.cfg.Tech.VDD, sc.vp, rs.Inputs...)
 
 	zeff := sc.cv.EffZView()
 	// Each SC iteration resolves the prefactored interconnect macromodel
@@ -204,6 +212,9 @@ func (st *Stage) simulate(sc *Scratch, pr *poleres.Macromodel, rs RunSpec) (*Res
 		}
 		record(t, vp)
 		stats.Steps = step
+		if sc.settle.Done(t, vp) {
+			break
+		}
 	}
 	res.Stats = stats
 	return res, nil

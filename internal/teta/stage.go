@@ -43,8 +43,11 @@ func scDiverged(delta float64) bool {
 
 // Config controls stage construction and simulation.
 type Config struct {
-	Tech  *device.ModelSet
-	DT    float64
+	Tech *device.ModelSet
+	DT   float64
+	// TStop caps the transient window: a run ends earlier, after the step
+	// at which the settle rule (circuit.Settle) holds, and runs to TStop
+	// only when its stage never settles.
 	TStop float64
 
 	Chord  ChordPolicy
@@ -132,6 +135,8 @@ type BuildStats struct {
 
 // RunStats reports per-sample simulation work.
 type RunStats struct {
+	// Steps is the number of timesteps run: TStop/DT when the stage never
+	// settled, fewer when the settle rule ended the run early.
 	Steps        int
 	SCIterations int
 	// LinearSolves counts the prefactored triangular solves spent in the
@@ -157,6 +162,18 @@ func (r *Result) PortWaveform(p int) (*circuit.PWL, error) {
 		return nil, fmt.Errorf("teta: port %d out of range", p)
 	}
 	return circuit.NewPWL(r.T, r.PortV[p])
+}
+
+// MaxDiff returns the largest |r − ref| at port p over two runs of one
+// stage, which share its time grid. A run the settle rule ended early
+// holds its last value there, as its PortWaveform does.
+func (r *Result) MaxDiff(ref *Result, p int) float64 {
+	a, b := r.PortV[p], ref.PortV[p]
+	d := 0.0
+	for i := range max(len(a), len(b)) {
+		d = max(d, math.Abs(a[min(i, len(a)-1)]-b[min(i, len(b)-1)]))
+	}
+	return d
 }
 
 // BuildStage characterizes a stage: load is the linear network with its
