@@ -57,11 +57,14 @@ func (v Value) WithSens(param string, sens float64) Value {
 }
 
 // Eval returns the exact value at a parameter sample. Missing parameters
-// evaluate as zero deviation.
+// evaluate as zero deviation. The terms are added in parameter-name
+// order: map order is random, and with two or more terms the rounding
+// of the running sum depends on that order, so the same sample would
+// otherwise evaluate to different low bits from call to call.
 func (v Value) Eval(w map[string]float64) float64 {
 	out := v.Nominal
-	for p, s := range v.Sens {
-		out += s * w[p]
+	for _, p := range v.Params() {
+		out += v.Sens[p] * w[p]
 	}
 	return out
 }

@@ -6,14 +6,40 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
+	"hash"
 	"math"
 	"testing"
+
+	"lcsim/internal/iscas"
 )
 
 // recordsDigest is the SHA-256 of the float64 bits behind Example 1's
 // Table 3 and Figure 3 and the ablation rows. Regenerate it only with a
 // change that is meant to move those results, and say why.
 const recordsDigest = "455189eadb64c7390e05128e1adf7bf27dd1b91577e647d6d770b4ab4120b5a7"
+
+// statsRecordsDigest is the SHA-256 of the float64 bits behind Table 5,
+// Figure 7 and Figure 6, under the same rule.
+const statsRecordsDigest = "fbc934084ec7affbdc8c20ff0010033b688c6658f7d5a3e4be549ae7e4431575"
+
+// bitsDigest hashes float64 values by their exact bits.
+type bitsDigest struct{ h hash.Hash }
+
+func newBitsDigest() bitsDigest { return bitsDigest{sha256.New()} }
+
+func (d bitsDigest) put(xs ...float64) {
+	for _, x := range xs {
+		d.h.Write(binary.LittleEndian.AppendUint64(nil, math.Float64bits(x)))
+	}
+}
+
+func (d bitsDigest) putInts(ns ...int) {
+	for _, n := range ns {
+		d.put(float64(n))
+	}
+}
+
+func (d bitsDigest) sum() string { return hex.EncodeToString(d.h.Sum(nil)) }
 
 // TestRecordsDigest pins, at full precision, the results `make records`
 // checks at printed precision: Example 1's Table 3 (at the p values
@@ -23,54 +49,82 @@ const recordsDigest = "455189eadb64c7390e05128e1adf7bf27dd1b91577e647d6d770b4ab4
 // printed digit stays put. It is pinned on amd64 only: Go may fuse
 // multiply-adds on other architectures, which moves low bits legally.
 func TestRecordsDigest(t *testing.T) {
-	h := sha256.New()
-	put := func(xs ...float64) {
-		for _, x := range xs {
-			h.Write(binary.LittleEndian.AppendUint64(nil, math.Float64bits(x)))
-		}
-	}
-	putInts := func(ns ...int) {
-		for _, n := range ns {
-			put(float64(n))
-		}
-	}
-
+	d := newBitsDigest()
 	t3, err := RunTable3(4, []float64{0.05, 0.06, 0.08, 0.09, 0.1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, r := range t3.Rows {
-		put(r.P, r.UnstablePole)
-		putInts(r.NumUnstable)
+		d.put(r.P, r.UnstablePole)
+		d.putInts(r.NumUnstable)
 	}
 	f3, err := RunFigure3()
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, s := range f3.Series {
-		put(s.T...)
-		put(s.V...)
+		d.put(s.T...)
+		d.put(s.V...)
 	}
-	put(f3.MaxErrV, f3.Cross50ErrS)
+	d.put(f3.MaxErrV, f3.Cross50ErrS)
 	a, err := RunAblations()
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, r := range a.Chord {
-		putInts(int(r.Policy))
-		put(r.ItersPerStep, r.Fall50)
+		d.putInts(int(r.Policy))
+		d.put(r.ItersPerStep, r.Fall50)
 	}
 	for _, r := range a.Order {
-		putInts(r.Order, r.Q)
-		put(r.CrossErr)
+		d.putInts(r.Order, r.Q)
+		d.put(r.CrossErr)
 	}
 	for _, r := range a.Filter {
-		put(r.MaxErrV, r.Cross50Err)
+		d.put(r.MaxErrV, r.Cross50Err)
 	}
-	put(a.LHSStd, a.PlainStd)
-	putInts(a.PCAFactors...)
+	d.put(a.LHSStd, a.PlainStd)
+	d.putInts(a.PCAFactors...)
 
-	if got := hex.EncodeToString(h.Sum(nil)); got != recordsDigest {
+	if got := d.sum(); got != recordsDigest {
 		t.Fatalf("records digest %s, want %s: a result behind results/example1.txt or results/ablations.txt moved", got, recordsDigest)
+	}
+}
+
+// TestStatsRecordsDigest pins, at full precision, the GA and Monte-Carlo
+// statistics `make records` checks at printed precision, at the
+// configurations the commands print: `example3 -table5` (every Table-5
+// circuit, 100 samples, seed 1, 10 elements), `example3 -figure7` (its
+// first two circuits) and `example2 -figure6` (100 samples, seed 1,
+// 100 µm). amd64 only, as TestRecordsDigest.
+func TestStatsRecordsDigest(t *testing.T) {
+	d := newBitsDigest()
+	o3 := Ex3Options{Samples: 100, Seed: 1, Workers: -1}
+	rows, err := RunTable5(o3, iscas.Table5Set, 10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range rows {
+		d.putInts(r.Stages, r.GASimulations, r.MCSimulations)
+		d.put(r.StdDL, r.StdVT, r.GAMeanPs, r.GAStdPs, r.MCMeanPs, r.MCStdPs)
+	}
+	for _, b := range iscas.Table5Set[:2] {
+		f7, err := RunFigure7(o3, b, 10)
+		if err != nil {
+			t.Fatal(err)
+		}
+		d.put(f7.MCDelays...)
+		d.put(f7.GAMean, f7.GAStd)
+		d.put(f7.GADelays...)
+	}
+	f6, err := RunFigure6(Ex2Options{Samples: 100, Seed: 1}, 100)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d.put(f6.FrameworkDelays...)
+	d.put(f6.ReferenceDelays...)
+	d.put(f6.KS, f6.MeanErrPct, f6.StdErrPct)
+
+	if got := d.sum(); got != statsRecordsDigest {
+		t.Fatalf("stats records digest %s, want %s: a result behind results/example3_table5.txt, example3_figure7.txt or example2_figure6.txt moved", got, statsRecordsDigest)
 	}
 }

@@ -369,3 +369,25 @@ func TestClarkMaxClosedForm(t *testing.T) {
 		t.Fatalf("max mean %g below operands", m.Mean)
 	}
 }
+
+// TestMCFingerprintStrings pins the strings an ssta-mc journal's
+// fingerprint carries for the s27 test run: a change to how the sources
+// or the block partition are hashed, or to the default engine's name,
+// would refuse every journal written before it.
+func TestMCFingerprintStrings(t *testing.T) {
+	c := s27Mapped(t)
+	g, err := Partition(c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fp := mcFingerprint(c, g, testConfig(2), 120)
+	for _, f := range []struct{ name, got, want string }{
+		{"Engine", fp.Engine, core.EngineTetaFast},
+		{"Sources", fp.Sources, "4c40246423d3b2a2"},
+		{"Proposal", fp.Proposal, "circuit=s27 blocks=73b0b2435dff1dc9"},
+	} {
+		if f.got != f.want {
+			t.Errorf("fingerprint %s = %q, want %q", f.name, f.got, f.want)
+		}
+	}
+}
