@@ -71,6 +71,17 @@ func main() {
 	}))
 	fmt.Printf("GA/MC σ ratio: %.2f (GA trusts a first-order model; MC is the reference)\n",
 		ga.Std/mc.Summary.Std)
+	// The kept per-sample rows give a second sensitivity screen at no
+	// extra simulation cost: each source's rank correlation with the
+	// delay, to read against GA's derivatives above.
+	corr, err := mc.Correlations(sources)
+	if err != nil {
+		log.Fatal(err)
+	}
+	fmt.Println("     rank correlation of each source with the delay:")
+	for _, s := range sources {
+		fmt.Printf("       %-10s %+.2f\n", s.Name, corr[s.Name])
+	}
 	cost := metrics.Snapshot()
 	fmt.Printf("cost: %d stage evals, %d SC iterations, %d linear solves\n",
 		cost.StageEvals, cost.SCIterations, cost.LinearSolves)

@@ -96,9 +96,6 @@ type Fingerprint struct {
 	Proposal string `json:"proposal,omitempty"`
 }
 
-// Equal reports whether two fingerprints describe the same run.
-func (f Fingerprint) Equal(g Fingerprint) bool { return f == g }
-
 // Check returns ErrMismatch (wrapped, naming the first differing field)
 // when the snapshot fingerprint g cannot resume a run fingerprinted f.
 func (f Fingerprint) Check(g Fingerprint) error {
@@ -266,11 +263,9 @@ type Config struct {
 	// and once more at the end of the run.
 	Path string
 	// Every flushes a snapshot each time this many samples complete
-	// (default 64).
+	// (default 64). Whatever Every says, the next completed sample after
+	// 30 s without a flush triggers one.
 	Every int
-	// Interval is the wall-clock flush bound: when it elapses, the next
-	// completed sample triggers a flush regardless of Every (default 30s).
-	Interval time.Duration
 	// Resume loads the snapshot at Path and continues from its prefix
 	// cut instead of starting at sample 0. The snapshot's fingerprint
 	// must match the live run (ErrMismatch otherwise); a corrupt primary
@@ -299,9 +294,6 @@ func (c *Config) Validate() error {
 	}
 	if c.Every < 0 {
 		return fmt.Errorf("checkpoint: Config.Every must be >= 0, got %d", c.Every)
-	}
-	if c.Interval < 0 {
-		return fmt.Errorf("checkpoint: Config.Interval must be >= 0, got %v", c.Interval)
 	}
 	if c.Limit < 0 {
 		return fmt.Errorf("checkpoint: Config.Limit must be >= 0, got %d", c.Limit)

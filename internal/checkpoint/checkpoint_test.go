@@ -31,7 +31,7 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	if fromBak {
 		t.Fatal("fresh snapshot should not come from .bak")
 	}
-	if got.Version != Version || got.Next != 42 || !got.Fingerprint.Equal(want.Fingerprint) {
+	if got.Version != Version || got.Next != 42 || got.Fingerprint != want.Fingerprint {
 		t.Fatalf("round trip mangled the snapshot: %+v", got)
 	}
 	if string(got.State) != string(want.State) {

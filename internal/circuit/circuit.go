@@ -5,10 +5,7 @@
 // netlist parser.
 package circuit
 
-import (
-	"fmt"
-	"sort"
-)
+import "sort"
 
 // NodeID identifies a circuit node. Ground is the constant Gnd (-1);
 // non-ground nodes are 0..NumNodes()-1.
@@ -121,17 +118,6 @@ func (n *Netlist) Node(name string) NodeID {
 	n.nodeIDs[name] = id
 	n.nodeNames = append(n.nodeNames, name)
 	return id
-}
-
-// NodeName returns the name of a node ("0" for ground).
-func (n *Netlist) NodeName(id NodeID) string {
-	if id == Gnd {
-		return "0"
-	}
-	if int(id) < 0 || int(id) >= len(n.nodeNames) {
-		return fmt.Sprintf("?%d", id)
-	}
-	return n.nodeNames[id]
 }
 
 // NumNodes returns the number of non-ground nodes.

@@ -1,9 +1,6 @@
 package circuit
 
-import (
-	"strings"
-	"testing"
-)
+import "testing"
 
 func TestSubcktBasicExpansion(t *testing.T) {
 	src := `
@@ -105,8 +102,8 @@ X1 a y vdd INV
 		t.Fatalf("device name: %s", nl.MOSFETs[0].Name)
 	}
 	// Drain connects to port node y; bulk of PMOS to vdd.
-	if nl.NodeName(nl.MOSFETs[0].D) != "y" {
-		t.Fatalf("drain node: %s", nl.NodeName(nl.MOSFETs[0].D))
+	if nl.nodeNames[nl.MOSFETs[0].D] != "y" {
+		t.Fatalf("drain node: %s", nl.nodeNames[nl.MOSFETs[0].D])
 	}
 }
 
@@ -140,34 +137,7 @@ X1 n T
 	}
 	for _, c := range nl.Capacitors {
 		if c.B != Gnd {
-			t.Fatalf("ground leaked into instance scope: %s", nl.NodeName(c.B))
+			t.Fatalf("ground leaked into instance scope: %s", nl.nodeNames[c.B])
 		}
-	}
-}
-
-func TestSubcktRoundTripThroughStrings(t *testing.T) {
-	// Flattened netlists re-parse cleanly (names contain dots).
-	src := `
-.SUBCKT L a b
-R1 a b 10
-C1 b 0 1p
-.ENDS
-X1 in out L
-.PORT in
-`
-	nl, err := ParseNetlistString(src)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var buf strings.Builder
-	if err := nl.WriteNetlist(&buf, "flat"); err != nil {
-		t.Fatal(err)
-	}
-	back, err := ParseNetlistString(buf.String())
-	if err != nil {
-		t.Fatalf("reparse: %v\n%s", err, buf.String())
-	}
-	if back.Stats() != nl.Stats() {
-		t.Fatalf("stats changed: %+v vs %+v", back.Stats(), nl.Stats())
 	}
 }

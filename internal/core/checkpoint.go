@@ -58,7 +58,7 @@ func mcFingerprint(kind string, cfg MCConfig, sources string) checkpoint.Fingerp
 		Seed:    cfg.Seed,
 		N:       cfg.N,
 		Sampler: cfg.sampler().String(),
-		Engine:  cfg.engineName(),
+		Engine:  ResolveEngine(cfg.Engine),
 		Ladder:  strings.Join(cfg.Ladder, ","),
 		Policy:  cfg.OnFailure.String(),
 		Sources: sources,
@@ -92,7 +92,7 @@ func isFingerprint(cfg ISConfig, sampler Sampler, sources, proposal string) chec
 		Seed:     cfg.Seed,
 		N:        cfg.N,
 		Sampler:  sampler.String(),
-		Engine:   cfg.engineName(),
+		Engine:   ResolveEngine(cfg.Engine),
 		Ladder:   strings.Join(cfg.Ladder, ","),
 		Policy:   cfg.OnFailure.String(),
 		Sources:  sources,

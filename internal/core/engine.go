@@ -130,13 +130,21 @@ func SetEngineWrapper(fn func(Engine) Engine) (prev func(Engine) Engine) {
 	return prev
 }
 
-// Engine resolves a registered engine by name for this path ("" selects
-// teta-fast). Construction is cheap; callers resolve once per analysis,
-// not per sample.
-func (p *Path) Engine(name string) (Engine, error) {
+// ResolveEngine returns the engine name a selection stands for: "" is
+// the default engine, teta-fast, and any other name stands for itself.
+// Every driver, fingerprint and evaluator resolves the default here.
+func ResolveEngine(name string) string {
 	if name == "" {
-		name = EngineTetaFast
+		return EngineTetaFast
 	}
+	return name
+}
+
+// Engine resolves a registered engine by name for this path ("" selects
+// the default, see ResolveEngine). Construction is cheap; callers
+// resolve once per analysis, not per sample.
+func (p *Path) Engine(name string) (Engine, error) {
+	name = ResolveEngine(name)
 	engineRegistry.RLock()
 	e, ok := engineRegistry.m[name]
 	engineRegistry.RUnlock()

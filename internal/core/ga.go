@@ -14,9 +14,6 @@ type GAConfig struct {
 	// Step is the finite-difference step as a fraction of each source's
 	// sigma (default 0.5).
 	Step float64
-	// SlewStep is the relative perturbation of the input slew used for
-	// ∂/∂S derivatives (default 0.05).
-	SlewStep float64
 	// Metrics, when non-nil, accumulates evaluation-cost counters (stage
 	// evaluations, SC iterations, linear solves) across the analysis.
 	Metrics *runner.Metrics
@@ -24,6 +21,10 @@ type GAConfig struct {
 	// teta-fast). See RegisterEngine and EngineNames.
 	Engine string
 }
+
+// gaSlewStep is the relative perturbation of the input slew used for the
+// ∂/∂S derivatives.
+const gaSlewStep = 0.05
 
 // GAResult holds the gradient-analysis outcome: the nominal path delay,
 // the first-order standard deviation via eq. (24) and the per-source
@@ -69,10 +70,6 @@ func (p *Path) GradientAnalysis(cfg GAConfig) (*GAResult, error) {
 	if step <= 0 {
 		step = 0.5
 	}
-	slewStep := cfg.SlewStep
-	if slewStep <= 0 {
-		slewStep = 0.05
-	}
 	nw := len(cfg.Sources)
 	res := &GAResult{Sensitivity: map[string]float64{}, StageCount: len(p.Stages)}
 	e, err := p.Engine(cfg.Engine)
@@ -90,7 +87,7 @@ func (p *Path) GradientAnalysis(cfg GAConfig) (*GAResult, error) {
 	rising := true
 
 	for i := range p.Stages {
-		sd, err := p.stageDerivatives(e, sc, i, cfg.Sources, slew, rising, step, slewStep, &res.Simulations, cfg.Metrics)
+		sd, err := p.stageDerivatives(e, sc, i, cfg.Sources, slew, rising, step, &res.Simulations, cfg.Metrics)
 		if err != nil {
 			return nil, err
 		}
@@ -122,7 +119,7 @@ func (p *Path) GradientAnalysis(cfg GAConfig) (*GAResult, error) {
 // stageDerivatives evaluates the stage Γ function and its derivatives by
 // finite differences: nominal, slew perturbation (central), and a central
 // difference per variation source.
-func (p *Path) stageDerivatives(e Engine, sc any, i int, sources []Source, slew float64, rising bool, step, slewStep float64, sims *int, m *runner.Metrics) (*stageDerivs, error) {
+func (p *Path) stageDerivatives(e Engine, sc any, i int, sources []Source, slew float64, rising bool, step float64, sims *int, m *runner.Metrics) (*stageDerivs, error) {
 	// eval wraps the engine's stage evaluation with the simulation counter
 	// and the shared metrics accumulators.
 	eval := func(rs teta.RunSpec, s float64) (StageDelayResult, error) {
@@ -141,7 +138,7 @@ func (p *Path) stageDerivatives(e Engine, sc any, i int, sources []Source, slew 
 		return nil, fmt.Errorf("GA nominal: %w", err)
 	}
 	// Slew derivatives (central difference).
-	ds := slew * slewStep
+	ds := slew * gaSlewStep
 	hi, err := eval(teta.RunSpec{}, slew+ds)
 	if err != nil {
 		return nil, fmt.Errorf("GA slew+: %w", err)

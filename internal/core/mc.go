@@ -192,7 +192,7 @@ type mcEval struct {
 // to a RunSpec, and inject (a test hook, may be nil) can fail a primary
 // evaluation; a Degrade retry still exercises the real rungs.
 func (p *Path) pathEvaluators(cfg RunConfig, row func(i int) []float64, spec func(sv []float64) (teta.RunSpec, error), inject func(i int) error) (Evaluator[mcEval], []Evaluator[mcEval], error) {
-	engine, err := p.Engine(cfg.engineName())
+	engine, err := p.Engine(cfg.Engine)
 	if err != nil {
 		return Evaluator[mcEval]{}, nil, err
 	}
@@ -298,7 +298,7 @@ func (p *Path) MonteCarloCtx(ctx context.Context, cfg MCConfig) (*MCResult, erro
 	}
 	dists := make([]stat.Dist, len(cfg.Sources))
 	for i, s := range cfg.Sources {
-		dists[i] = s.dist()
+		dists[i] = s.SampleDist()
 	}
 	row := rowGen(cfg, cfg.sampler(), dists)
 	fp := mcFingerprint("mc", cfg, sourcesHash(cfg.Sources))

@@ -60,14 +60,14 @@ type RunConfig struct {
 	// Checkpoint, when non-nil, journals the run durably: a
 	// prefix-consistent snapshot (streaming statistics, failure report,
 	// cost counters, and any materialized per-sample rows) is written to
-	// Checkpoint.Path on the Every/Interval cadence and once after the
-	// sweep. With Checkpoint.Resume set, a matching snapshot on disk
-	// restores the accumulators and the run re-evaluates only
-	// [snapshot.Next, N); the combined result is bit-identical to an
-	// uninterrupted run at any worker count. A snapshot whose
-	// fingerprint (seed, N, sampler, engine/ladder, policy, source list)
-	// differs from this config refuses to resume with
-	// checkpoint.ErrMismatch.
+	// Checkpoint.Path every Checkpoint.Every samples, after any 30 s
+	// without a flush, and once after the sweep. With Checkpoint.Resume
+	// set, a matching snapshot on disk restores the accumulators and the
+	// run re-evaluates only [snapshot.Next, N); the combined result is
+	// bit-identical to an uninterrupted run at any worker count. A
+	// snapshot whose fingerprint (seed, N, sampler, engine/ladder,
+	// policy, source list) differs from this config refuses to resume
+	// with checkpoint.ErrMismatch.
 	Checkpoint *checkpoint.Config
 	// MacroCache, when non-nil, is the cross-run content-addressed
 	// macromodel store (internal/modelcache): every stage the driver
@@ -85,14 +85,6 @@ type RunConfig struct {
 	// fresh deadline), so one pathological sample cannot wedge the
 	// sweep.
 	SampleTimeout time.Duration
-}
-
-// engineName resolves the Engine field ("" defaults to teta-fast).
-func (c RunConfig) engineName() string {
-	if c.Engine != "" {
-		return c.Engine
-	}
-	return EngineTetaFast
 }
 
 // validate checks the execution-policy fields shared by every driver.

@@ -85,7 +85,7 @@ func (pp *PathPair) MonteCarloSkewCtx(ctx context.Context, cfg SkewConfig) (*Ske
 	dists := make([]stat.Dist, 0, dim)
 	for _, group := range [][]Source{pp.Shared, pp.IndependentA, pp.IndependentB} {
 		for _, s := range group {
-			dists = append(dists, s.dist())
+			dists = append(dists, s.SampleDist())
 		}
 	}
 	samples := stat.SamplePlan(cube, dists)

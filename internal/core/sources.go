@@ -22,7 +22,9 @@ type Source struct {
 	IsDVT bool   // threshold-voltage shift
 }
 
-func (s Source) dist() stat.Dist {
+// SampleDist returns the distribution the source is sampled from: Dist,
+// or Normal(0, Sigma) when Dist is nil.
+func (s Source) SampleDist() stat.Dist {
 	if s.Dist != nil {
 		return s.Dist
 	}

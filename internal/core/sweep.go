@@ -176,7 +176,6 @@ func (s *Sweep[T]) Run(ctx context.Context, n int) error {
 	if ck != nil {
 		opts.OnCheckpoint = s.flush
 		opts.CheckpointEvery = ck.Every
-		opts.CheckpointInterval = ck.Interval
 	}
 	err := runner.MapWorker(ctx, end, opts, s.newWorker, s.sample, func(i int, o sweepOut[T]) {
 		if o.degraded {

@@ -12,16 +12,17 @@ import (
 type WorstCaseConfig struct {
 	Sources []Source
 	K       float64 // box half-width in sigmas (default 3)
-	// Maximize selects the slow corner (true, default behaviour when both
-	// flags are false selects slow) or the fast corner.
+	// Minimize selects the fast corner when true; false, the default,
+	// selects the slow corner.
 	Minimize bool
-	// Refinements bounds the sign-refinement sweeps (a corner search over
-	// a monotone-ish response converges in one or two).
-	Refinements int
 	// Engine names the stage-evaluation backend for both the GA seed and
 	// the corner verification simulations ("" resolves to teta-fast).
 	Engine string
 }
+
+// worstCaseRefinements bounds the sign-refinement sweeps (a corner search
+// over a monotone-ish response converges in one or two).
+const worstCaseRefinements = 2
 
 // WorstCaseResult is a verified extreme corner.
 type WorstCaseResult struct {
@@ -50,10 +51,6 @@ func (p *Path) WorstCase(cfg WorstCaseConfig) (*WorstCaseResult, error) {
 	k := cfg.K
 	if k <= 0 {
 		k = 3
-	}
-	refine := cfg.Refinements
-	if refine <= 0 {
-		refine = 2
 	}
 	sign := 1.0
 	if cfg.Minimize {
@@ -86,7 +83,7 @@ func (p *Path) WorstCase(cfg WorstCaseConfig) (*WorstCaseResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	for r := 0; r < refine; r++ {
+	for r := 0; r < worstCaseRefinements; r++ {
 		improved := false
 		for i := range cfg.Sources {
 			trial := make([]float64, len(corner))

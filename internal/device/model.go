@@ -118,47 +118,14 @@ func (m *Model) Eval(vgs, vds, vbs float64, g Geometry) OpPoint {
 	return op
 }
 
-// EvalID computes only the Level-1 drain current — the quantity the
-// Successive-Chords right-hand side actually consumes. Skipping the
-// three derivative outputs (and their operating-point struct) roughly
-// halves the per-device cost of the transient inner loop; the value is
-// bit-identical to Eval(...).ID.
-func (m *Model) EvalID(vgs, vds, vbs float64, g Geometry) float64 {
-	if vds < 0 {
-		return -m.EvalID(vgs-vds, -vds, vbs-vds, g)
-	}
-	vth := m.VT0 + g.DVT
-	// vbs == 0 (body tied to source, the common case) makes the body-effect
-	// term exactly zero; skip its two square roots.
-	if m.Gamma > 0 && vbs != 0 {
-		arg := m.Phi - vbs
-		if arg < 1e-3 {
-			arg = 1e-3
-		}
-		vth += m.Gamma * (math.Sqrt(arg) - math.Sqrt(m.Phi))
-	}
-	vov := vgs - vth
-	id := gmin * vds
-	if vov > 0 {
-		beta := m.KP * g.W / m.Leff(g)
-		clm := 1 + m.Lambda*vds
-		if vds < vov {
-			id += beta * (vov*vds - 0.5*vds*vds) * clm
-		} else {
-			id += 0.5 * beta * vov * vov * clm
-		}
-	}
-	return id
-}
-
 // EvalCache pre-resolves the per-(model, geometry) constants of the
 // Level-1 current evaluation — the threshold with the sample's DVT folded
 // in and the transconductance factor β = KP·W/Leff — so the per-timestep
 // device sweep pays neither the Leff clamp and divide nor a model/geometry
 // copy per call. Build one per device instance when a sample's deviations
-// are fixed (Driver.resetState does); ID is then bit-identical to
-// EvalID on the source model and geometry, with EvalGeom's polarity
-// reflection.
+// are fixed (Driver.resetState does). ID computes only the drain
+// current, the quantity the Successive-Chords right-hand side consumes,
+// and is bit-identical to EvalGeom's ID on the source model and geometry.
 type EvalCache struct {
 	vth0   float64 // VT0 + DVT
 	beta   float64 // KP·W/Leff(g)
@@ -191,7 +158,8 @@ func (c *EvalCache) ID(vd, vg, vs, vb float64) float64 {
 	return c.id(vg-vs, vd-vs, vb-vs)
 }
 
-// id is EvalID over the cached constants (NMOS conventions).
+// id is the Level-1 drain current over the cached constants (NMOS
+// conventions).
 func (c *EvalCache) id(vgs, vds, vbs float64) float64 {
 	if vds < 0 {
 		return -c.id(vgs-vds, -vds, vbs-vds)

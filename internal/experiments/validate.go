@@ -19,8 +19,8 @@ import (
 func Example2Evaluator(o Ex2Options, lengthUm float64, engine string) (func(rs teta.RunSpec) (float64, error), error) {
 	o.setDefaults()
 	var run func(st *teta.Stage, rs teta.RunSpec) (*teta.Result, error)
-	switch engine {
-	case "", core.EngineTetaFast:
+	switch core.ResolveEngine(engine) {
+	case core.EngineTetaFast:
 		run = func(st *teta.Stage, rs teta.RunSpec) (*teta.Result, error) { return st.Run(rs) }
 	case core.EngineTetaExact:
 		run = func(st *teta.Stage, rs teta.RunSpec) (*teta.Result, error) { return st.RunExact(rs) }

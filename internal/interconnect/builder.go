@@ -121,9 +121,3 @@ func BuildBus(tech WireTech, nLines int, lengthUm, segPerUm float64, variational
 	}
 	return bus
 }
-
-// TotalLinearElements returns the number of R and C elements in the bus.
-func (b *Bus) TotalLinearElements() int {
-	st := b.Netlist.Stats()
-	return st.LinearElements
-}

@@ -14,6 +14,6 @@ func ExampleSakuraiPUL() {
 
 func ExampleBuildBus() {
 	bus := interconnect.BuildBus(interconnect.Wire180, 3, 100, 1, true)
-	fmt.Println(bus.Lines, bus.Segments, bus.TotalLinearElements())
+	fmt.Println(bus.Lines, bus.Segments, bus.Netlist.Stats().LinearElements)
 	// Output: 3 100 800
 }

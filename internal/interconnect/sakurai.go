@@ -53,12 +53,3 @@ func PULSensitivity(t WireTech, param string) PUL {
 		Cc: (plus.Cc - minus.Cc) / (2 * h),
 	}
 }
-
-// ElmoreDelay returns the Elmore delay of an open-ended distributed RC line
-// of the given length: 0.5·r·c·len², a sanity metric used by tests and the
-// quickstart example.
-func ElmoreDelay(t WireTech, lengthM float64) float64 {
-	p := SakuraiPUL(t)
-	c := p.Cg + 2*p.Cc
-	return 0.5 * p.R * c * lengthM * lengthM
-}

@@ -84,23 +84,6 @@ func (t WireTech) Nominal(param string) (float64, error) {
 	return 0, fmt.Errorf("interconnect: unknown parameter %q", param)
 }
 
-// Tol returns the 3σ fractional tolerance of a named parameter.
-func (t WireTech) Tol(param string) (float64, error) {
-	switch param {
-	case ParamW:
-		return t.TolW, nil
-	case ParamT:
-		return t.TolT, nil
-	case ParamS:
-		return t.TolS, nil
-	case ParamH:
-		return t.TolH, nil
-	case ParamRho:
-		return t.TolRho, nil
-	}
-	return 0, fmt.Errorf("interconnect: unknown parameter %q", param)
-}
-
 // At returns a copy of the technology with geometry shifted to a sample of
 // normalized parameters: each w in [-1, 1] moves the quantity by w·3σ.
 func (t WireTech) At(w map[string]float64) WireTech {

@@ -147,33 +147,6 @@ func S27() *Circuit {
 	return c
 }
 
-// WriteBench renders the circuit in .bench syntax, round-trippable through
-// ParseBench. Mapped cell names are emitted as-is (ParseBench accepts them
-// back via TechMap's pass-through).
-func (c *Circuit) WriteBench(w io.Writer) error {
-	for _, pi := range c.PIs {
-		if _, err := fmt.Fprintf(w, "INPUT(%s)\n", pi); err != nil {
-			return err
-		}
-	}
-	for _, po := range c.POs {
-		if _, err := fmt.Fprintf(w, "OUTPUT(%s)\n", po); err != nil {
-			return err
-		}
-	}
-	for _, d := range c.DFFs {
-		if _, err := fmt.Fprintf(w, "%s = DFF(%s)\n", d.Q, d.D); err != nil {
-			return err
-		}
-	}
-	for _, g := range c.Gates {
-		if _, err := fmt.Fprintf(w, "%s = %s(%s)\n", g.Output, g.Type, strings.Join(g.Inputs, ", ")); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // benchToCell maps .bench operators to device cells by fan-in.
 var benchToCell = map[string]map[int]string{
 	"NOT":  {1: "INV"},

@@ -26,10 +26,10 @@ func ExampleGenerate() {
 	if err != nil {
 		panic(err)
 	}
-	depth, err := c.Depth()
+	path, err := c.LongestPath()
 	if err != nil {
 		panic(err)
 	}
-	fmt.Println(depth)
+	fmt.Println(len(path))
 	// Output: 9
 }

@@ -146,12 +146,12 @@ func TestGenerateExactDepth(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		depth, err := c.Depth()
+		p, err := c.LongestPath()
 		if err != nil {
 			t.Fatalf("%s: %v", b.Name, err)
 		}
-		if depth != b.Stages {
-			t.Fatalf("%s: depth %d, want %d", b.Name, depth, b.Stages)
+		if len(p) != b.Stages {
+			t.Fatalf("%s: depth %d, want %d", b.Name, len(p), b.Stages)
 		}
 	}
 }
@@ -206,53 +206,6 @@ func TestGenerateRejectsZeroStages(t *testing.T) {
 	}
 }
 
-func TestWriteBenchRoundTrip(t *testing.T) {
-	orig, err := Generate("rt", 7, 77)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var buf strings.Builder
-	if err := orig.WriteBench(&buf); err != nil {
-		t.Fatal(err)
-	}
-	back, err := ParseBench("rt", strings.NewReader(buf.String()))
-	if err != nil {
-		t.Fatalf("reparse: %v\n%s", err, buf.String())
-	}
-	mapped, err := back.TechMap()
-	if err != nil {
-		t.Fatal(err)
-	}
-	d1, err := orig.Depth()
-	if err != nil {
-		t.Fatal(err)
-	}
-	d2, err := mapped.Depth()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d1 != d2 {
-		t.Fatalf("depth changed through round trip: %d vs %d", d1, d2)
-	}
-	if orig.Stats() != mapped.Stats() {
-		t.Fatalf("stats changed: %+v vs %+v", orig.Stats(), mapped.Stats())
-	}
-}
-
-func TestWriteBenchS27(t *testing.T) {
-	var buf strings.Builder
-	if err := S27().WriteBench(&buf); err != nil {
-		t.Fatal(err)
-	}
-	back, err := ParseBench("s27", strings.NewReader(buf.String()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if back.Stats() != S27().Stats() {
-		t.Fatal("s27 does not round trip")
-	}
-}
-
 func TestLongestPathDeterministic(t *testing.T) {
 	c, err := Generate("det", 15, 7)
 	if err != nil {
@@ -292,11 +245,11 @@ z = NOT(n1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	d, err := m.Depth()
+	p, err := m.LongestPath()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if d != 2 {
-		t.Fatalf("depth %d, want 2 (PO sink for combinational circuits)", d)
+	if len(p) != 2 {
+		t.Fatalf("depth %d, want 2 (PO sink for combinational circuits)", len(p))
 	}
 }

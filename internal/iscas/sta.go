@@ -251,12 +251,3 @@ func PathCells(path []PathGate) []string {
 	}
 	return out
 }
-
-// Depth returns the unit-delay depth of the longest latch-to-latch path.
-func (c *Circuit) Depth() (int, error) {
-	p, err := c.LongestPath()
-	if err != nil {
-		return 0, err
-	}
-	return len(p), nil
-}

@@ -66,7 +66,7 @@ func BenchmarkSymEigen(b *testing.B) {
 	for _, n := range []int{10, 60} {
 		rng := rand.New(rand.NewSource(6))
 		a := randomDense(rng, n, n)
-		a = Sum(a, a.T())
+		a = a.T().AddScaled(1, a)
 		b.Run(fmt.Sprintf("n%d", n), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				if _, err := SymEigenDecompose(a); err != nil {

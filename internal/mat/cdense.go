@@ -96,23 +96,6 @@ func (m *CDense) Col(j int) []complex128 {
 	return out
 }
 
-// CMulVec returns a*x.
-func CMulVec(a *CDense, x []complex128) []complex128 {
-	if a.cols != len(x) {
-		panic(fmt.Sprintf("mat: CMulVec dims %d != %d", a.cols, len(x)))
-	}
-	out := make([]complex128, a.rows)
-	for i := 0; i < a.rows; i++ {
-		s := complex(0, 0)
-		row := a.data[i*a.cols : (i+1)*a.cols]
-		for j, v := range row {
-			s += v * x[j]
-		}
-		out[i] = s
-	}
-	return out
-}
-
 // CLU is an LU factorization with partial pivoting of a complex matrix.
 type CLU struct {
 	lu  *CDense

@@ -1,5 +1,5 @@
 // Package mat provides the dense linear-algebra substrate used throughout
-// the framework: real dense matrices, LU and QR factorizations, a real
+// the framework: real dense matrices, an LU factorization, a real
 // nonsymmetric eigensolver (balance + Hessenberg + Francis double-shift QR),
 // complex LU with inverse iteration for eigenvectors, and a Jacobi
 // eigensolver for symmetric matrices.
@@ -160,18 +160,6 @@ func (m *Dense) AddScaled(s float64, a *Dense) *Dense {
 	return m
 }
 
-// Sum returns a+b as a new matrix.
-func Sum(a, b *Dense) *Dense {
-	if a.rows != b.rows || a.cols != b.cols {
-		panic(fmt.Sprintf("mat: Sum shape %dx%d != %dx%d", a.rows, a.cols, b.rows, b.cols))
-	}
-	out := a.Clone()
-	for i := range out.data {
-		out.data[i] += b.data[i]
-	}
-	return out
-}
-
 // Diff returns a-b as a new matrix.
 func Diff(a, b *Dense) *Dense {
 	if a.rows != b.rows || a.cols != b.cols {
@@ -242,12 +230,6 @@ func MulTVec(a *Dense, x []float64) []float64 {
 	return out
 }
 
-// CongruenceTransform returns XᵀAX, the congruence transform used by
-// projection-based model order reduction.
-func CongruenceTransform(x, a *Dense) *Dense {
-	return Mul(x.T(), Mul(a, x))
-}
-
 // MaxAbs returns the largest |element|.
 func (m *Dense) MaxAbs() float64 {
 	mx := 0.0
@@ -257,15 +239,6 @@ func (m *Dense) MaxAbs() float64 {
 		}
 	}
 	return mx
-}
-
-// FrobeniusNorm returns the Frobenius norm.
-func (m *Dense) FrobeniusNorm() float64 {
-	s := 0.0
-	for _, v := range m.data {
-		s += v * v
-	}
-	return math.Sqrt(s)
 }
 
 // IsSymmetric reports whether m is square and symmetric to within tol.
@@ -281,21 +254,6 @@ func (m *Dense) IsSymmetric(tol float64) bool {
 		}
 	}
 	return true
-}
-
-// Symmetrize replaces m with (m+mᵀ)/2 in place (square only) and returns m.
-func (m *Dense) Symmetrize() *Dense {
-	if m.rows != m.cols {
-		panic("mat: Symmetrize requires a square matrix")
-	}
-	for i := 0; i < m.rows; i++ {
-		for j := i + 1; j < m.cols; j++ {
-			v := 0.5 * (m.At(i, j) + m.At(j, i))
-			m.Set(i, j, v)
-			m.Set(j, i, v)
-		}
-	}
-	return m
 }
 
 // String renders the matrix for debugging.

@@ -12,9 +12,8 @@ var ErrSingular = errors.New("mat: matrix is singular")
 
 // LU holds an LU factorization with partial pivoting: PA = LU.
 type LU struct {
-	lu   *Dense // combined L (unit lower) and U
-	piv  []int  // row permutation
-	sign float64
+	lu  *Dense // combined L (unit lower) and U
+	piv []int  // row permutation
 }
 
 // FactorLU computes the LU factorization of a square matrix with partial
@@ -50,7 +49,6 @@ func (f *LU) Refactor(a *Dense) error {
 	for i := range piv {
 		piv[i] = i
 	}
-	sign := 1.0
 	for k := 0; k < n; k++ {
 		// Find pivot.
 		p := k
@@ -71,7 +69,6 @@ func (f *LU) Refactor(a *Dense) error {
 				rk[j], rp[j] = rp[j], rk[j]
 			}
 			piv[k], piv[p] = piv[p], piv[k]
-			sign = -sign
 		}
 		pivVal := lu.At(k, k)
 		for i := k + 1; i < n; i++ {
@@ -87,7 +84,6 @@ func (f *LU) Refactor(a *Dense) error {
 			}
 		}
 	}
-	f.sign = sign
 	return nil
 }
 
@@ -142,48 +138,9 @@ func (f *LU) SolveMat(b *Dense) *Dense {
 	return out
 }
 
-// Det returns the determinant of the factored matrix.
-func (f *LU) Det() float64 {
-	d := f.sign
-	n := f.lu.rows
-	for i := 0; i < n; i++ {
-		d *= f.lu.At(i, i)
-	}
-	return d
-}
-
 // Inverse returns A^{-1} computed from the factorization.
 func (f *LU) Inverse() *Dense {
 	return f.SolveMat(Identity(f.lu.rows))
-}
-
-// Solve solves A x = b directly (factor + solve). A and b are not modified.
-func Solve(a *Dense, b []float64) ([]float64, error) {
-	f, err := FactorLU(a)
-	if err != nil {
-		return nil, err
-	}
-	return f.Solve(b), nil
-}
-
-// Inverse returns A^{-1} or an error if A is singular.
-func Inverse(a *Dense) (*Dense, error) {
-	f, err := FactorLU(a)
-	if err != nil {
-		return nil, err
-	}
-	return f.Inverse(), nil
-}
-
-// ConditionEst returns a cheap estimate of the 1-norm condition number of A
-// using the factorization: ||A||₁ · ||A^{-1}||₁. Intended for small
-// (reduced-order) matrices.
-func ConditionEst(a *Dense) (float64, error) {
-	f, err := FactorLU(a)
-	if err != nil {
-		return math.Inf(1), err
-	}
-	return norm1(a) * f.Norm1Inverse(), nil
 }
 
 // Norm1Inverse returns ||A⁻¹||₁ computed column by column from the

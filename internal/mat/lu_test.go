@@ -8,9 +8,18 @@ import (
 	"testing/quick"
 )
 
+// solve factors a and solves a x = b.
+func solve(a *Dense, b []float64) ([]float64, error) {
+	f, err := FactorLU(a)
+	if err != nil {
+		return nil, err
+	}
+	return f.Solve(b), nil
+}
+
 func TestLUSolveKnown(t *testing.T) {
 	a := NewDenseData(2, 2, []float64{2, 1, 1, 3})
-	x, err := Solve(a, []float64{5, 10})
+	x, err := solve(a, []float64{5, 10})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -33,7 +42,7 @@ func TestLUSolveResidualProperty(t *testing.T) {
 		for i := range b {
 			b[i] = rng.NormFloat64()
 		}
-		x, err := Solve(a, b)
+		x, err := solve(a, b)
 		if err != nil {
 			return false
 		}
@@ -63,6 +72,8 @@ func TestLUNonSquare(t *testing.T) {
 	}
 }
 
+// TestLUDeterminant checks the factors through the determinant they give
+// (luDet).
 func TestLUDeterminant(t *testing.T) {
 	a := NewDenseData(3, 3, []float64{
 		2, 0, 0,
@@ -73,20 +84,20 @@ func TestLUDeterminant(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := f.Det(); !almostEq(got, -24, 1e-12) {
-		t.Fatalf("Det = %v, want -24", got)
+	if got := luDet(f); !almostEq(got, -24, 1e-12) {
+		t.Fatalf("det = %v, want -24", got)
 	}
 }
 
 func TestLUDeterminantWithPivoting(t *testing.T) {
-	// Requires a row swap; determinant sign must survive.
+	// Requires a row swap; the recorded permutation must carry its sign.
 	a := NewDenseData(2, 2, []float64{0, 1, 1, 0})
 	f, err := FactorLU(a)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := f.Det(); !almostEq(got, -1, 1e-14) {
-		t.Fatalf("Det = %v, want -1", got)
+	if got := luDet(f); !almostEq(got, -1, 1e-14) {
+		t.Fatalf("det = %v, want -1", got)
 	}
 }
 
@@ -97,11 +108,11 @@ func TestLUInverse(t *testing.T) {
 	for i := 0; i < n; i++ {
 		a.Add(i, i, 8)
 	}
-	inv, err := Inverse(a)
+	f, err := FactorLU(a)
 	if err != nil {
 		t.Fatal(err)
 	}
-	p := Mul(a, inv)
+	p := Mul(a, f.Inverse())
 	for i := 0; i < n; i++ {
 		for j := 0; j < n; j++ {
 			want := 0.0
@@ -132,12 +143,12 @@ func TestLUSolveMat(t *testing.T) {
 func TestConditionEst(t *testing.T) {
 	// diag(1, 1e-6) has condition number 1e6 in any norm.
 	a := NewDenseData(2, 2, []float64{1, 0, 0, 1e-6})
-	c, err := ConditionEst(a)
+	f, err := FactorLU(a)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if math.Abs(c-1e6)/1e6 > 1e-9 {
-		t.Fatalf("ConditionEst = %v, want ~1e6", c)
+	if c := Norm1(a) * f.Norm1Inverse(); math.Abs(c-1e6)/1e6 > 1e-9 {
+		t.Fatalf("Norm1·Norm1Inverse = %v, want ~1e6", c)
 	}
 }
 
@@ -152,7 +163,7 @@ func TestLUHilbertAccuracy(t *testing.T) {
 	}
 	xTrue := []float64{1, -1, 2, -2, 3}
 	b := MulVec(h, xTrue)
-	x, err := Solve(h, b)
+	x, err := solve(h, b)
 	if err != nil {
 		t.Fatal(err)
 	}

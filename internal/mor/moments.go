@@ -85,22 +85,3 @@ func (r *ROM) ROMMoments(k int) ([]*mat.Dense, error) {
 	}
 	return out, nil
 }
-
-// ElmoreDelays returns the per-port Elmore delay estimate M1_ii / M0_ii
-// (the first moment of the impulse response seen at each port), a widely
-// used sanity metric for RC reductions.
-func ElmoreDelays(g, c *sparse.CSC, np int) ([]float64, error) {
-	ms, err := Moments(g, c, np, 2)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]float64, np)
-	for i := 0; i < np; i++ {
-		m0 := ms[0].At(i, i)
-		if m0 == 0 {
-			return nil, fmt.Errorf("mor: port %d has zero DC impedance", i)
-		}
-		out[i] = -ms[1].At(i, i) / m0
-	}
-	return out, nil
-}

@@ -87,23 +87,23 @@ func TestPRIMAMatchesMoments(t *testing.T) {
 	}
 }
 
+// TestElmoreDelays checks the first two moments through a one-port
+// ladder's Elmore delay −M1/M0: positive, and larger for a longer ladder.
 func TestElmoreDelays(t *testing.T) {
-	sys := ladderSystem(t, 10, 1e-3, false)
-	d, err := ElmoreDelays(sys.GNominal(), sys.CNominal(), 1)
-	if err != nil {
-		t.Fatal(err)
+	elmore := func(nSeg int) float64 {
+		sys := ladderSystem(t, nSeg, 1e-3, false)
+		ms, err := Moments(sys.GNominal(), sys.CNominal(), 1, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return -ms[1].At(0, 0) / ms[0].At(0, 0)
 	}
-	if d[0] <= 0 {
-		t.Fatalf("Elmore delay %g must be positive", d[0])
+	d, d2 := elmore(10), elmore(20)
+	if d <= 0 {
+		t.Fatalf("Elmore delay %g must be positive", d)
 	}
-	// Longer ladder -> larger Elmore delay.
-	sys2 := ladderSystem(t, 20, 1e-3, false)
-	d2, err := ElmoreDelays(sys2.GNominal(), sys2.CNominal(), 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d2[0] <= d[0] {
-		t.Fatalf("Elmore must grow with length: %g vs %g", d2[0], d[0])
+	if d2 <= d {
+		t.Fatalf("Elmore must grow with length: %g vs %g", d2, d)
 	}
 }
 

@@ -280,100 +280,6 @@ func TestExtractHelper(t *testing.T) {
 	}
 }
 
-func TestReducePRIMAMatchesFull(t *testing.T) {
-	sys := ladderSystem(t, 30, 1e-3, false)
-	g, c := sys.GNominal(), sys.CNominal()
-	rom, err := ReducePRIMA(g, c, 1, 6)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, f := range []float64{0, 1e7, 1e8, 5e8} {
-		s := complex(0, 2*math.Pi*f)
-		zFull, err := PortImpedance(g, c, 1, s)
-		if err != nil {
-			t.Fatal(err)
-		}
-		zRom, err := rom.ROMImpedance(s)
-		if err != nil {
-			t.Fatal(err)
-		}
-		rel := cmplx.Abs(zRom.At(0, 0)-zFull.At(0, 0)) / cmplx.Abs(zFull.At(0, 0))
-		if rel > 0.02 {
-			t.Fatalf("PRIMA impedance error %.3g at f=%g", rel, f)
-		}
-	}
-}
-
-func TestReducePRIMAIsPassiveCongruence(t *testing.T) {
-	// A true congruence of symmetric nonneg pencils keeps them symmetric
-	// nonneg: all poles of the reduced pencil lie in the closed left half
-	// plane, whatever the order.
-	sys := ladderSystem(t, 25, 1e-3, false)
-	rom, err := ReducePRIMA(sys.GNominal(), sys.CNominal(), 1, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !rom.Gr.IsSymmetric(1e-9*rom.Gr.MaxAbs()) || !rom.Cr.IsSymmetric(1e-9*rom.Cr.MaxAbs()) {
-		t.Fatal("congruence must preserve symmetry")
-	}
-	fg, err := mat.FactorLU(rom.Gr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tm := fg.SolveMat(rom.Cr).Scale(-1)
-	vals, err := mat.Eigenvalues(tm)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, lam := range vals {
-		if cmplx.Abs(lam) < 1e-30 {
-			continue
-		}
-		pole := 1 / lam
-		if real(pole) > 0 {
-			t.Fatalf("PRIMA congruence produced unstable pole %v", pole)
-		}
-	}
-}
-
-func TestReducePRIMAvsSplitCongruence(t *testing.T) {
-	// Both reductions approximate the same transfer function; at matched
-	// order they agree with each other within the full-model error.
-	sys := ladderSystem(t, 30, 1e-3, false)
-	g, c := sys.GNominal(), sys.CNominal()
-	pact, err := Reduce(g, c, 1, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	prima, err := ReducePRIMA(g, c, 1, 6)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s := complex(0, 2*math.Pi*1e8)
-	z1, err := pact.ROMImpedance(s)
-	if err != nil {
-		t.Fatal(err)
-	}
-	z2, err := prima.ROMImpedance(s)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cmplx.Abs(z1.At(0, 0)-z2.At(0, 0)) > 0.03*cmplx.Abs(z1.At(0, 0)) {
-		t.Fatalf("PACT %v vs PRIMA %v", z1.At(0, 0), z2.At(0, 0))
-	}
-}
-
-func TestReducePRIMAErrors(t *testing.T) {
-	sys := ladderSystem(t, 5, 1e-3, false)
-	if _, err := ReducePRIMA(sys.GNominal(), sys.CNominal(), 0, 2); err == nil {
-		t.Fatal("np=0 must error")
-	}
-	open := ladderSystem(t, 5, 0, false)
-	if _, err := ReducePRIMA(open.GNominal(), open.CNominal(), 1, 2); err == nil {
-		t.Fatal("singular G must error")
-	}
-}
-
 func TestReduceMorePortsThanInternals(t *testing.T) {
 	// 2 ports, 1 internal node: exercises the rectangular Extract padding.
 	nl := circuit.New()

@@ -69,16 +69,6 @@ type Convolver struct {
 	zeff *mat.Dense
 }
 
-// NewConvolver prepares recursive-convolution evaluation with a fixed
-// timestep h. The macromodel must be stable (call Stabilize first).
-func NewConvolver(m *Macromodel, h float64) (*Convolver, error) {
-	c := &Convolver{}
-	if err := c.Reconfigure(m, h); err != nil {
-		return nil, err
-	}
-	return c, nil
-}
-
 // grow reslices buf to n elements, reusing its backing array when the
 // capacity allows.
 func grow[T any](buf []T, n int) []T {
@@ -199,21 +189,10 @@ func (c *Convolver) Reconfigure(m *Macromodel, h float64) error {
 	return nil
 }
 
-// EffZ returns the Np×Np effective impedance dv(t+h)/di(t+h).
-func (c *Convolver) EffZ() *mat.Dense { return c.zeff.Clone() }
-
 // EffZView returns the effective impedance without cloning. The matrix is
 // owned by the convolver: treat it as read-only, valid until the next
 // Reconfigure.
 func (c *Convolver) EffZView() *mat.Dense { return c.zeff }
-
-// History returns the history vector Hist(t) for the pending step: the
-// port voltages that would appear at t+h if i(t+h) were zero.
-func (c *Convolver) History() []float64 {
-	hist := make([]float64, c.np)
-	c.HistoryInto(hist)
-	return hist
-}
 
 // HistoryInto computes the history vector into dst (length Np) without
 // allocating — the per-timestep entry point of Stage.Run's SC loop. It

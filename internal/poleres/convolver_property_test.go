@@ -42,7 +42,7 @@ func TestConvolverSuperpositionProperty(t *testing.T) {
 		m := randomStableModel(seed, 2)
 		h := 1e-11
 		mk := func() *Convolver {
-			c, err := NewConvolver(m, h)
+			c, err := newConvolver(m, h)
 			if err != nil {
 				return nil
 			}
@@ -78,11 +78,11 @@ func TestConvolverTimeInvarianceProperty(t *testing.T) {
 	f := func(seed int64) bool {
 		m := randomStableModel(seed, 1)
 		h := 2e-11
-		c1, err := NewConvolver(m, h)
+		c1, err := newConvolver(m, h)
 		if err != nil {
 			return true
 		}
-		c2, _ := NewConvolver(m, h)
+		c2, _ := newConvolver(m, h)
 		const delay = 5
 		const steps = 30
 		drive := func(step int) []float64 {
@@ -124,7 +124,7 @@ func TestConvolverDCSteadyStateProperty(t *testing.T) {
 			}
 		}
 		h := slowest / 50
-		c, err := NewConvolver(m, h)
+		c, err := newConvolver(m, h)
 		if err != nil {
 			return true
 		}

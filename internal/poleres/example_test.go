@@ -34,7 +34,8 @@ func ExampleConvolver() {
 	rom, _ := onePortROM()
 	m, _ := poleres.Extract(rom)
 	st, _ := m.StabilizeShift()
-	cv, _ := poleres.NewConvolver(st, 1e-11)
+	cv := new(poleres.Convolver)
+	cv.Reconfigure(st, 1e-11)
 	cv.SetInitialCurrent([]float64{1e-3})
 	var v float64
 	for i := 0; i < 4000; i++ {

@@ -10,7 +10,6 @@ import (
 	"fmt"
 	"math"
 	"math/cmplx"
-	"sort"
 
 	"lcsim/internal/mat"
 	"lcsim/internal/mor"
@@ -190,76 +189,7 @@ func (m *Macromodel) Clone() *Macromodel {
 	return out
 }
 
-// Dominant returns a reduced copy keeping the `keep` poles with the
-// largest DC weight |r/p| (summed over port entries), folding the dropped
-// poles' DC contribution into D0 so Z(0) is preserved — the classic
-// dominant-pole truncation used to speed up long transients. Conjugate
-// partners are kept together. keep >= len(Poles) returns a plain copy.
-func (m *Macromodel) Dominant(keep int) *Macromodel {
-	if keep >= len(m.Poles) {
-		return m.Clone()
-	}
-	out := &Macromodel{Np: m.Np, D0: m.D0.Clone()}
-	weight := make([]float64, len(m.Poles))
-	for k, p := range m.Poles {
-		for i := 0; i < m.Np; i++ {
-			for j := 0; j < m.Np; j++ {
-				weight[k] += cmplx.Abs(m.Res[k].At(i, j) / p)
-			}
-		}
-	}
-	// Pair conjugates so they are kept or dropped together.
-	partner := make([]int, len(m.Poles))
-	for k := range partner {
-		partner[k] = -1
-	}
-	for k, p := range m.Poles {
-		if partner[k] != -1 || imag(p) == 0 {
-			continue
-		}
-		for l := k + 1; l < len(m.Poles); l++ {
-			if partner[l] == -1 && m.Poles[l] == cmplx.Conj(p) {
-				partner[k], partner[l] = l, k
-				w := weight[k] + weight[l]
-				weight[k], weight[l] = w, w
-				break
-			}
-		}
-	}
-	order := make([]int, len(m.Poles))
-	for i := range order {
-		order[i] = i
-	}
-	sort.SliceStable(order, func(a, b int) bool { return weight[order[a]] > weight[order[b]] })
-	selected := map[int]bool{}
-	for _, k := range order {
-		if len(selected) >= keep {
-			break
-		}
-		if selected[k] {
-			continue
-		}
-		selected[k] = true
-		if p := partner[k]; p >= 0 && len(selected) < keep+1 {
-			selected[p] = true
-		}
-	}
-	for k, p := range m.Poles {
-		if selected[k] {
-			out.Poles = append(out.Poles, p)
-			out.Res = append(out.Res, m.Res[k].Clone())
-			continue
-		}
-		for i := 0; i < m.Np; i++ {
-			for j := 0; j < m.Np; j++ {
-				out.D0.Add(i, j, real(-m.Res[k].At(i, j)/p))
-			}
-		}
-	}
-	return out
-}
-
-// StabReport describes what Stabilize did.
+// StabReport describes what a stabilization did.
 type StabReport struct {
 	Removed     []complex128 // dropped unstable poles
 	BetaMin     float64      // extremal β factors applied (1 when no correction)
@@ -298,8 +228,10 @@ func (m *Macromodel) StabilizeShiftInPlace() StabReport {
 	return rep
 }
 
-// StabilizeInPlace is Stabilize (the paper's β residue rescaling of
-// eq. 22–23) mutating the receiver.
+// StabilizeInPlace applies the paper's two-step correction (eqs. 22–23)
+// to the receiver: remove poles with positive real part, then scale each
+// surviving residue entry by the common factor β_ij of eq. (23) so
+// Z_ij(0) is preserved.
 func (m *Macromodel) StabilizeInPlace() StabReport {
 	rep := StabReport{BetaMin: 1, BetaMax: 1}
 	unstable := false
@@ -364,20 +296,10 @@ func (m *Macromodel) StabilizeInPlace() StabReport {
 // residues untouched, which behaves better when a removed mode carries a
 // large share of the DC impedance (a very fast unstable junk mode acts as
 // a resistor over the simulation band anyway). This is the engineering
-// variant of the paper's eq. (22) heuristic; Stabilize implements the
-// published β-scaling form.
+// variant of the paper's eq. (22) heuristic; StabilizeInPlace implements
+// the published β-scaling form.
 func (m *Macromodel) StabilizeShift() (*Macromodel, StabReport) {
 	out := m.Clone()
 	rep := out.StabilizeShiftInPlace()
-	return out, rep
-}
-
-// Stabilize applies the paper's two-step correction: remove poles with
-// positive real part, then scale each surviving residue entry by the
-// common factor β_ij of eq. (23) so Z_ij(0) is preserved. Returns a new
-// macromodel; the receiver is unchanged.
-func (m *Macromodel) Stabilize() (*Macromodel, StabReport) {
-	out := m.Clone()
-	rep := out.StabilizeInPlace()
 	return out, rep
 }

@@ -158,7 +158,8 @@ func TestStabilizeRemovesUnstableAndPreservesDC(t *testing.T) {
 		t.Fatal("fixture must be unstable")
 	}
 	dcBefore := m.DCZ().At(0, 0)
-	st, rep := m.Stabilize()
+	st := m.Clone()
+	rep := st.StabilizeInPlace()
 	if !st.IsStable() {
 		t.Fatal("Stabilize left unstable poles")
 	}
@@ -184,13 +185,20 @@ func TestStabilizeNoopOnStable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	st, rep := m.Stabilize()
+	st := m.Clone()
+	rep := st.StabilizeInPlace()
 	if len(rep.Removed) != 0 {
 		t.Fatal("stable model must not lose poles")
 	}
 	if len(st.Poles) != len(m.Poles) {
 		t.Fatal("pole count changed")
 	}
+}
+
+// newConvolver is a fresh Convolver configured for m at step h.
+func newConvolver(m *Macromodel, h float64) (*Convolver, error) {
+	c := new(Convolver)
+	return c, c.Reconfigure(m, h)
 }
 
 func TestConvolverStepResponseMatchesAnalytic(t *testing.T) {
@@ -205,7 +213,7 @@ func TestConvolverStepResponseMatchesAnalytic(t *testing.T) {
 	m.Res = []*mat.CDense{res}
 
 	h := 1e-11
-	cv, err := NewConvolver(m, h)
+	cv, err := newConvolver(m, h)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -233,7 +241,7 @@ func TestConvolverHistorySplit(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cv, err := NewConvolver(m, 1e-11)
+	cv, err := newConvolver(m, 1e-11)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -241,8 +249,9 @@ func TestConvolverHistorySplit(t *testing.T) {
 	for k := 0; k < 10; k++ {
 		cv.Advance([]float64{1e-3})
 	}
-	hist := cv.History()
-	zeff := cv.EffZ()
+	hist := make([]float64, 1)
+	cv.HistoryInto(hist)
+	zeff := cv.EffZView()
 	i1 := []float64{-2e-3}
 	want := hist[0] + zeff.At(0, 0)*i1[0]
 	got := cv.Advance(i1)[0]
@@ -252,7 +261,7 @@ func TestConvolverHistorySplit(t *testing.T) {
 }
 
 func TestConvolverRejectsUnstable(t *testing.T) {
-	if _, err := NewConvolver(unstableModel(), 1e-12); err == nil {
+	if _, err := newConvolver(unstableModel(), 1e-12); err == nil {
 		t.Fatal("convolver must reject unstable macromodels")
 	}
 }
@@ -288,7 +297,7 @@ func TestConvolverMatchesSpiceOnLadder(t *testing.T) {
 		t.Fatal(err)
 	}
 	h := 1e-12
-	cv, err := NewConvolver(m, h)
+	cv, err := newConvolver(m, h)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -317,7 +326,7 @@ func TestConvolverReset(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cv, err := NewConvolver(m, 1e-11)
+	cv, err := newConvolver(m, 1e-11)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -336,7 +345,7 @@ func TestNewConvolverBadStep(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := NewConvolver(m, 0); err == nil {
+	if _, err := newConvolver(m, 0); err == nil {
 		t.Fatal("zero step must error")
 	}
 }

@@ -58,7 +58,8 @@ func TestStabilizeShiftPreservesDCMatrix(t *testing.T) {
 func TestStabilizeBetaPreservesDCMatrix(t *testing.T) {
 	m := mixedModel()
 	before := m.DCZ()
-	st, _ := m.Stabilize()
+	st := m.Clone()
+	st.StabilizeInPlace()
 	after := st.DCZ()
 	for i := 0; i < 2; i++ {
 		for j := 0; j < 2; j++ {
@@ -117,7 +118,8 @@ func TestStabilizeShiftNoopOnStable(t *testing.T) {
 
 func TestStabilizeVariantsAgreeAtDC(t *testing.T) {
 	m := mixedModel()
-	beta, _ := m.Stabilize()
+	beta := m.Clone()
+	beta.StabilizeInPlace()
 	shift, _ := m.StabilizeShift()
 	for i := 0; i < 2; i++ {
 		for j := 0; j < 2; j++ {
@@ -153,61 +155,5 @@ func TestMacromodelZAdditivity(t *testing.T) {
 				t.Fatal("Z evaluation mismatch")
 			}
 		}
-	}
-}
-
-func TestDominantPreservesDCAndOrdering(t *testing.T) {
-	m := mixedModel()
-	st, _ := m.StabilizeShift()
-	before := st.DCZ()
-	d := st.Dominant(1)
-	if len(d.Poles) != 1 {
-		t.Fatalf("kept %d poles, want 1", len(d.Poles))
-	}
-	after := d.DCZ()
-	for i := 0; i < 2; i++ {
-		for j := 0; j < 2; j++ {
-			if math.Abs(before.At(i, j)-after.At(i, j)) > 1e-9*(1+math.Abs(before.At(i, j))) {
-				t.Fatalf("DC changed at (%d,%d)", i, j)
-			}
-		}
-	}
-	// The kept pole must be the heaviest: -4e9 carries |r/p| = 20 per
-	// entry vs -1e9's 50... compute: r=-80e9/p=-4e9 -> 20; r=-50e9/-1e9 ->
-	// 50. So the -1e9 pole wins.
-	if d.Poles[0] != complex(-1e9, 0) {
-		t.Fatalf("kept pole %v, want the dominant -1e9", d.Poles[0])
-	}
-}
-
-func TestDominantKeepsConjugatePairsTogether(t *testing.T) {
-	m := &Macromodel{Np: 1, D0: mat.NewDense(1, 1)}
-	add := func(p, r complex128) {
-		res := mat.NewCDense(1, 1)
-		res.Set(0, 0, r)
-		m.Poles = append(m.Poles, p)
-		m.Res = append(m.Res, res)
-	}
-	add(complex(-1e9, 3e9), complex(-9e9, 1e9))
-	add(complex(-1e9, -3e9), complex(-9e9, -1e9))
-	add(complex(-8e9, 0), complex(-1e9, 0)) // light real pole
-	d := m.Dominant(2)
-	if len(d.Poles) != 2 {
-		t.Fatalf("kept %d", len(d.Poles))
-	}
-	if cmplx.Conj(d.Poles[0]) != d.Poles[1] {
-		t.Fatalf("pair split: %v %v", d.Poles[0], d.Poles[1])
-	}
-	// Response stays real: Z at a real frequency has no imaginary DC.
-	if math.Abs(imag(d.Z(0).At(0, 0))) > 1e-9 {
-		t.Fatal("Z(0) not real after truncation")
-	}
-}
-
-func TestDominantNoopWhenKeepLarge(t *testing.T) {
-	m := mixedModel()
-	d := m.Dominant(100)
-	if len(d.Poles) != len(m.Poles) {
-		t.Fatal("keep >= len must copy")
 	}
 }

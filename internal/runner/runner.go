@@ -90,16 +90,17 @@ type Options struct {
 	// or skipped (to OnSkip), and no index >= next has. Anything the sink
 	// accumulated is therefore a prefix-consistent snapshot at that
 	// instant, safe to serialize without locking. Calls follow the
-	// CheckpointEvery / CheckpointInterval cadence, whichever fires first.
+	// CheckpointEvery / checkpointInterval cadence, whichever fires first.
 	OnCheckpoint func(next int)
 	// CheckpointEvery is the number of ordered deliveries between
 	// OnCheckpoint calls (default 64).
 	CheckpointEvery int
-	// CheckpointInterval is the wall-clock bound between OnCheckpoint
-	// calls: when it elapses, the next ordered delivery triggers a flush
-	// even if CheckpointEvery has not been reached (default 30s).
-	CheckpointInterval time.Duration
 }
+
+// checkpointInterval is the wall-clock bound between OnCheckpoint calls:
+// when it elapses, the next ordered delivery triggers a flush even if
+// CheckpointEvery has not been reached.
+const checkpointInterval = 30 * time.Second
 
 // ResolveWorkers maps the Workers convention (0 = serial, negative =
 // GOMAXPROCS, positive = exact) to an actual worker count ≥ 1.
@@ -152,22 +153,14 @@ func (o Options) checkpointEvery() int {
 	return 64
 }
 
-func (o Options) checkpointInterval() time.Duration {
-	if o.CheckpointInterval > 0 {
-		return o.CheckpointInterval
-	}
-	return 30 * time.Second
-}
-
 // ckptCadence tracks the every-K-deliveries / every-T-seconds checkpoint
 // cadence for one drain goroutine (no locking: it is only touched from
 // the ordered-delivery goroutine).
 type ckptCadence struct {
-	fn       func(next int)
-	every    int
-	interval time.Duration
-	since    int       // ordered deliveries since the last flush
-	last     time.Time // wall time of the last flush
+	fn    func(next int)
+	every int
+	since int       // ordered deliveries since the last flush
+	last  time.Time // wall time of the last flush
 }
 
 func newCkptCadence(o Options) *ckptCadence {
@@ -175,10 +168,9 @@ func newCkptCadence(o Options) *ckptCadence {
 		return nil
 	}
 	return &ckptCadence{
-		fn:       o.OnCheckpoint,
-		every:    o.checkpointEvery(),
-		interval: o.checkpointInterval(),
-		last:     time.Now(),
+		fn:    o.OnCheckpoint,
+		every: o.checkpointEvery(),
+		last:  time.Now(),
 	}
 }
 
@@ -190,7 +182,7 @@ func (c *ckptCadence) delivered(next int) {
 		return
 	}
 	c.since++
-	if c.since < c.every && time.Since(c.last) < c.interval {
+	if c.since < c.every && time.Since(c.last) < checkpointInterval {
 		return
 	}
 	c.since = 0

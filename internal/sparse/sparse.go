@@ -30,9 +30,6 @@ func NewTriplet(n int) *Triplet {
 // N returns the matrix dimension.
 func (t *Triplet) N() int { return t.n }
 
-// NNZ returns the number of accumulated entries (duplicates counted).
-func (t *Triplet) NNZ() int { return len(t.vals) }
-
 // Add accumulates v at (i, j).
 func (t *Triplet) Add(i, j int, v float64) {
 	if i < 0 || i >= t.n || j < 0 || j >= t.n {

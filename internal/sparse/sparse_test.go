@@ -32,7 +32,7 @@ func TestTripletCompileSumsDuplicates(t *testing.T) {
 func TestTripletIgnoresZeros(t *testing.T) {
 	tr := NewTriplet(2)
 	tr.Add(0, 0, 0)
-	if tr.NNZ() != 0 {
+	if len(tr.vals) != 0 {
 		t.Fatalf("zero entries must not be stored")
 	}
 }
@@ -41,7 +41,7 @@ func TestTripletReset(t *testing.T) {
 	tr := NewTriplet(2)
 	tr.Add(0, 0, 1)
 	tr.Reset()
-	if tr.NNZ() != 0 {
+	if len(tr.vals) != 0 {
 		t.Fatal("Reset did not clear entries")
 	}
 	tr.Add(1, 1, 5)

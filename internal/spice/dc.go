@@ -9,11 +9,6 @@ import "fmt"
 func (s *Simulator) dcOperatingPoint() ([]float64, int, error) {
 	v := make([]float64, s.dim)
 	iters := 0
-	// The damped DC Newton may need many more iterations than a transient
-	// step whose initial guess is already close.
-	savedMax := s.opts.MaxNewton
-	s.opts.MaxNewton = savedMax * 10
-	defer func() { s.opts.MaxNewton = savedMax }()
 	solveAt := func(alpha float64, guess []float64) ([]float64, error) {
 		base := s.static.Clone()
 		// Tiny conductance to ground on every node keeps purely capacitive
@@ -35,7 +30,9 @@ func (s *Simulator) dcOperatingPoint() ([]float64, int, error) {
 			rhs[s.nNode+i] = alpha * src.W.At(0)
 		}
 		before := s.stats.NewtonIterations
-		out, err := s.newtonSolve(base, rhs, guess, 0)
+		// The damped DC Newton may need many more iterations than a
+		// transient step whose initial guess is already close.
+		out, err := s.newtonSolve(base, rhs, guess, 0, 10*maxNewton)
 		iters += s.stats.NewtonIterations - before
 		return out, err
 	}
@@ -55,18 +52,4 @@ func (s *Simulator) dcOperatingPoint() ([]float64, int, error) {
 		guess = out
 	}
 	return guess, iters, nil
-}
-
-// OperatingPoint exposes the DC solution for testing and for chord-model
-// characterization: it returns the node voltage vector indexed by
-// circuit.NodeID.
-func (s *Simulator) OperatingPoint() ([]float64, error) {
-	if err := s.buildStatic(); err != nil {
-		return nil, err
-	}
-	v, _, err := s.dcOperatingPoint()
-	if err != nil {
-		return nil, err
-	}
-	return v[:s.nNode], nil
 }

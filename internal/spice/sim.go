@@ -23,16 +23,21 @@ import (
 // divergence).
 var ErrNoConvergence = errors.New("spice: newton iteration did not converge")
 
-// Options configures a simulation run.
+// The Newton controls every run shares.
+const (
+	maxNewton = 50   // per-timestep Newton limit; a DC solve gets 10×
+	absTol    = 1e-6 // voltage tolerance, V
+	relTol    = 1e-4 // relative tolerance
+	vMax      = 1e3  // divergence threshold, V
+	dvLimit   = 2.0  // per-iteration voltage-change damping, V
+)
+
+// Options configures a simulation run: the time axis, the variation
+// sample, the device models and the stopping rule. The Newton controls
+// are the package constants above.
 type Options struct {
 	DT    float64 // fixed timestep, s
 	TStop float64 // end time, s (a cap when SettleNodes is set)
-
-	MaxNewton int     // per-timestep Newton limit (default 50)
-	AbsTol    float64 // voltage tolerance, V (default 1e-6)
-	RelTol    float64 // relative tolerance (default 1e-4)
-	VMax      float64 // divergence threshold, V (default 1e3)
-	DVLimit   float64 // per-iteration voltage-change damping, V (default 2; <0 disables)
 
 	// Adaptive enables local-truncation-error timestep control: DT is the
 	// initial step, bounded by [DTMin, DTMax] (defaults DT/64 and 8·DT),
@@ -56,21 +61,6 @@ type Options struct {
 func (o *Options) setDefaults() error {
 	if o.DT <= 0 || o.TStop <= 0 {
 		return fmt.Errorf("spice: DT and TStop must be positive, got %g, %g", o.DT, o.TStop)
-	}
-	if o.MaxNewton <= 0 {
-		o.MaxNewton = 50
-	}
-	if o.AbsTol <= 0 {
-		o.AbsTol = 1e-6
-	}
-	if o.RelTol <= 0 {
-		o.RelTol = 1e-4
-	}
-	if o.VMax <= 0 {
-		o.VMax = 1e3
-	}
-	if o.DVLimit == 0 {
-		o.DVLimit = 2
 	}
 	if len(o.SettleNodes) > 0 && (o.Adaptive || o.Models == nil) {
 		return fmt.Errorf("spice: SettleNodes needs a fixed-step run and a model set")

@@ -141,7 +141,7 @@ func TestNANDGateLogic(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		v, err := sim.OperatingPoint()
+		v, err := operatingPoint(sim)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -173,7 +173,7 @@ func TestAllCellsDCFunctional(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		v, err := sim.OperatingPoint()
+		v, err := operatingPoint(sim)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -243,7 +243,7 @@ func TestCellTruthTables(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			v, err := sim.OperatingPoint()
+			v, err := operatingPoint(sim)
 			if err != nil {
 				t.Fatalf("%s mask %b: %v", name, mask, err)
 			}

@@ -252,7 +252,7 @@ func (s *Simulator) stepOnce(st *transState, t, dt float64, trap bool) ([]float6
 			rhs[gi] += ieq
 		}
 	}
-	return s.newtonSolve(base, rhs, st.v, t)
+	return s.newtonSolve(base, rhs, st.v, t, maxNewton)
 }
 
 // commitStep folds an accepted solution into the integration state.
@@ -293,12 +293,13 @@ func (s *Simulator) commitStep(st *transState, vNew []float64, dt float64, trap 
 }
 
 // newtonSolve iterates the linearized MNA system to convergence starting
-// from guess v0. base/rhsBase hold all stamps except the nonlinear devices.
-func (s *Simulator) newtonSolve(base *sparse.Triplet, rhsBase, v0 []float64, t float64) ([]float64, error) {
+// from guess v0, for at most maxIter iterations. base/rhsBase hold all
+// stamps except the nonlinear devices.
+func (s *Simulator) newtonSolve(base *sparse.Triplet, rhsBase, v0 []float64, t float64, maxIter int) ([]float64, error) {
 	v := make([]float64, s.dim)
 	copy(v, v0)
 	rhs := make([]float64, s.dim)
-	for it := 0; it < s.opts.MaxNewton; it++ {
+	for it := 0; it < maxIter; it++ {
 		tr := base.Clone()
 		copy(rhs, rhsBase)
 		s.stampMOSFETs(tr, rhs, v)
@@ -311,21 +312,19 @@ func (s *Simulator) newtonSolve(base *sparse.Triplet, rhsBase, v0 []float64, t f
 		s.statsNewton()
 		// Damped update: limit the per-iteration node-voltage change, the
 		// standard robustness device for high-gain (deep logic) circuits.
-		if s.opts.DVLimit > 0 {
-			for i := 0; i < s.nNode; i++ {
-				if d := vNew[i] - v[i]; d > s.opts.DVLimit {
-					vNew[i] = v[i] + s.opts.DVLimit
-				} else if d < -s.opts.DVLimit {
-					vNew[i] = v[i] - s.opts.DVLimit
-				}
+		for i := 0; i < s.nNode; i++ {
+			if d := vNew[i] - v[i]; d > dvLimit {
+				vNew[i] = v[i] + dvLimit
+			} else if d < -dvLimit {
+				vNew[i] = v[i] - dvLimit
 			}
 		}
 		conv := true
 		for i := 0; i < s.nNode; i++ {
-			if math.IsNaN(vNew[i]) || math.Abs(vNew[i]) > s.opts.VMax {
+			if math.IsNaN(vNew[i]) || math.Abs(vNew[i]) > vMax {
 				return nil, fmt.Errorf("%w: node voltage diverged (|v|=%.3g)", ErrNoConvergence, vNew[i])
 			}
-			if math.Abs(vNew[i]-v[i]) > s.opts.AbsTol+s.opts.RelTol*math.Abs(vNew[i]) {
+			if math.Abs(vNew[i]-v[i]) > absTol+relTol*math.Abs(vNew[i]) {
 				conv = false
 			}
 		}

@@ -3,12 +3,11 @@ package ssta
 import (
 	"context"
 	"fmt"
-	"strings"
+	"hash/fnv"
 	"time"
 
 	"lcsim/internal/core"
 	"lcsim/internal/runner"
-	"lcsim/internal/stat"
 )
 
 // BlockModel is one characterized block macromodel: the BuildChain path
@@ -151,29 +150,9 @@ func modelOrder(g *Graph, models map[string]*BlockModel) []*BlockModel {
 // fingerprint (same fields as core's: a resumed run must sample the
 // exact same population).
 func sourcesHash(sources []core.Source) string {
-	var b strings.Builder
+	h := fnv.New64a()
 	for _, s := range sources {
-		fmt.Fprintf(&b, "%s|%g|%v|%s|%t|%t;", s.Name, s.Sigma, s.Dist, s.Wire, s.IsDL, s.IsDVT)
+		fmt.Fprintf(h, "%s|%g|%v|%s|%t|%t;", s.Name, s.Sigma, s.Dist, s.Wire, s.IsDL, s.IsDVT)
 	}
-	return fmt.Sprintf("%016x", fnv64a(b.String()))
-}
-
-// sampleDist resolves a source's sampling distribution (nil Dist means
-// Normal{0, Sigma}, matching core's convention).
-func sampleDist(s core.Source) stat.Dist {
-	if s.Dist != nil {
-		return s.Dist
-	}
-	return stat.Normal{Mean: 0, Sigma: s.Sigma}
-}
-
-// fnv64a is the FNV-1a 64-bit hash (inline to avoid importing hash/fnv
-// for one string).
-func fnv64a(s string) uint64 {
-	h := uint64(14695981039346656037)
-	for i := 0; i < len(s); i++ {
-		h ^= uint64(s[i])
-		h *= 1099511628211
-	}
-	return h
+	return fmt.Sprintf("%016x", h.Sum64())
 }

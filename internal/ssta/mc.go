@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"hash/fnv"
 	"strings"
 
 	"lcsim/internal/checkpoint"
@@ -66,24 +67,19 @@ type mcPayload struct {
 // checkpoint.ErrMismatch. The block-key list rides in Proposal so a
 // changed netlist (different partition) cannot silently resume.
 func mcFingerprint(c *iscas.Circuit, g *Graph, cfg Config, n int) checkpoint.Fingerprint {
+	blocks := fnv.New64a()
+	blocks.Write([]byte(strings.Join(g.DistinctKeys(), "\n")))
 	return checkpoint.Fingerprint{
 		Kind:     "ssta-mc",
 		Seed:     cfg.Seed,
 		N:        n,
 		Sampler:  "lhs",
-		Engine:   engineName(cfg.Engine),
+		Engine:   core.ResolveEngine(cfg.Engine),
 		Ladder:   strings.Join(cfg.Ladder, ","),
 		Policy:   cfg.OnFailure.String(),
 		Sources:  sourcesHash(cfg.Sources),
-		Proposal: fmt.Sprintf("circuit=%s blocks=%016x", c.Name, fnv64a(strings.Join(g.DistinctKeys(), "\n"))),
+		Proposal: fmt.Sprintf("circuit=%s blocks=%016x", c.Name, blocks.Sum64()),
 	}
-}
-
-func engineName(name string) string {
-	if name == "" {
-		return core.EngineTetaFast
-	}
-	return name
 }
 
 // RunMC estimates every sink's arrival distribution by brute force: per
@@ -137,7 +133,7 @@ func RunMC(ctx context.Context, c *iscas.Circuit, cfg Config, n int) (*MCResult,
 	// materialized once (the permutations couple all n rows).
 	dists := make([]stat.Dist, len(cfg.Sources))
 	for i, s := range cfg.Sources {
-		dists[i] = sampleDist(s)
+		dists[i] = s.SampleDist()
 	}
 	cube := stat.LatinHypercube(stat.NewRNG(cfg.Seed), n, len(cfg.Sources))
 	rowSpec := func(i int) teta.RunSpec {

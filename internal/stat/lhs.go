@@ -62,27 +62,12 @@ func MonteCarloCube(rng *rand.Rand, n, d int) [][]float64 {
 // haltonPrimes supplies co-prime bases for the Halton sequence.
 var haltonPrimes = []int{2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53}
 
-// Halton returns n rows of the d-dimensional Halton low-discrepancy
+// HaltonAt returns coordinate dim of row i of the Halton low-discrepancy
 // sequence (skipping a small burn-in), an alternative variance-reduction
 // sampler to LHS — the "advanced sampling techniques" the paper's §4.1.2
-// alludes to. Deterministic; supports up to 16 dimensions.
-func Halton(n, d int) [][]float64 {
-	if n <= 0 || d <= 0 || d > len(haltonPrimes) {
-		panic(fmt.Sprintf("stat: Halton supports 1..%d dimensions, got n=%d d=%d", len(haltonPrimes), n, d))
-	}
-	out := make([][]float64, n)
-	for i := range out {
-		out[i] = make([]float64, d)
-		for j := 0; j < d; j++ {
-			out[i][j] = HaltonAt(i, j)
-		}
-	}
-	return out
-}
-
-// HaltonAt returns coordinate dim of row i of the Halton sequence — a
-// pure function of (i, dim), which lets the parallel Monte-Carlo runtime
-// generate rows on any worker without materializing the whole plan.
+// alludes to. It is a pure function of (i, dim), which lets the parallel
+// Monte-Carlo runtime generate rows on any worker without materializing
+// the whole plan.
 // Supports dim in [0, 16).
 func HaltonAt(i, dim int) float64 {
 	if i < 0 || dim < 0 || dim >= len(haltonPrimes) {

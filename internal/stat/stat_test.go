@@ -315,8 +315,20 @@ func TestBootstrapCI(t *testing.T) {
 	}
 }
 
+// halton returns n rows of the d-dimensional Halton sequence.
+func halton(n, d int) [][]float64 {
+	out := make([][]float64, n)
+	for i := range out {
+		out[i] = make([]float64, d)
+		for j := range out[i] {
+			out[i][j] = HaltonAt(i, j)
+		}
+	}
+	return out
+}
+
 func TestHaltonStratification(t *testing.T) {
-	pts := Halton(128, 3)
+	pts := halton(128, 3)
 	for d := 0; d < 3; d++ {
 		// Low-discrepancy: each half of [0,1] gets close to half the points.
 		lo := 0
@@ -335,8 +347,8 @@ func TestHaltonStratification(t *testing.T) {
 }
 
 func TestHaltonDeterministicAndDistinct(t *testing.T) {
-	a := Halton(16, 2)
-	b := Halton(16, 2)
+	a := halton(16, 2)
+	b := halton(16, 2)
 	for i := range a {
 		if a[i][0] != b[i][0] || a[i][1] != b[i][1] {
 			t.Fatal("Halton must be deterministic")
@@ -357,13 +369,13 @@ func TestHaltonPanics(t *testing.T) {
 			t.Fatal("expected panic for too many dimensions")
 		}
 	}()
-	Halton(4, 99)
+	HaltonAt(4, 99)
 }
 
 func TestHaltonBeatsPlainMCForMeans(t *testing.T) {
 	f := func(row []float64) float64 { return row[0]*row[0] + row[1] }
 	// True mean = 1/3 + 1/2.
-	pts := Halton(256, 2)
+	pts := halton(256, 2)
 	acc := 0.0
 	for _, r := range pts {
 		acc += f(r)

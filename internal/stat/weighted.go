@@ -97,9 +97,6 @@ func (m *WeightedMoments) N() int { return m.n }
 // NonFinite returns the rejected observation count.
 func (m *WeightedMoments) NonFinite() int { return m.nonfinite }
 
-// WeightSum returns the correctly-rounded total accepted weight.
-func (m *WeightedMoments) WeightSum() float64 { return m.sw.Value() }
-
 // Mean returns the weighted mean Σwx/Σw (0 when no weight accepted).
 func (m *WeightedMoments) Mean() float64 {
 	sw := m.sw.Value()
@@ -197,9 +194,6 @@ func (e *ISEstimator) Fails() int { return e.fails }
 
 // Rejected returns the count of samples dropped for an invalid weight.
 func (e *ISEstimator) Rejected() int { return e.nonfinite }
-
-// WeightSum returns the correctly-rounded Σw.
-func (e *ISEstimator) WeightSum() float64 { return e.sw.Value() }
 
 // Prob returns the self-normalized failure-probability estimate
 // Σwh/Σw (0 when no weight accepted).
@@ -469,9 +463,6 @@ func (s *WeightedSummary) N() int { return s.m.N() }
 
 // Rejected returns the number of pairs rejected by Add.
 func (s *WeightedSummary) Rejected() int { return s.m.NonFinite() }
-
-// WeightSum returns the total accepted weight.
-func (s *WeightedSummary) WeightSum() float64 { return s.m.WeightSum() }
 
 // Summary renders the weighted state as a Summary of the reweighted
 // distribution: exact weighted mean/std plus weighted-P² quantile

@@ -223,7 +223,7 @@ func TestWeightedSummaryStateRoundTrip(t *testing.T) {
 		if ref.Rejected() != b.Rejected() || !sameSummary(ref.Summary(), b.Summary()) {
 			t.Fatalf("trial %d (n=%d k=%d): resumed summary differs", trial, n, k)
 		}
-		if !sameFloat(ref.WeightSum(), b.WeightSum()) {
+		if !sameFloat(ref.m.sw.Value(), b.m.sw.Value()) {
 			t.Fatalf("trial %d: weight sum differs", trial)
 		}
 	}

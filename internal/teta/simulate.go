@@ -195,7 +195,7 @@ func (st *Stage) simulate(sc *Scratch, pr *poleres.Macromodel, rs RunSpec) (*Res
 				d.internalsInto(sc.unk[di][:d.outIdx], sc.biBuf[di], sc.bBuf[di], vp[d.Port], false)
 				sc.unk[di][d.outIdx] = vp[d.Port]
 			}
-			if delta < st.cfg.SCTol && it > 0 {
+			if delta < scTol && it > 0 {
 				converged = true
 				break
 			}
@@ -297,7 +297,7 @@ func (st *Stage) dcNewton(sc *Scratch) bool {
 			r[p] = vp[p] - zin
 			resid = max(resid, math.Abs(r[p]))
 		}
-		if resid < st.cfg.SCTol {
+		if resid < scTol {
 			return true
 		}
 		// Jacobian J = I − Zdc·diag(dI_N/dv) by finite difference.
@@ -353,7 +353,7 @@ func (st *Stage) dcNorton(sc *Scratch, dst, vpTry []float64) {
 				delta = max(delta, math.Abs(v-u[k]))
 				u[k] = v
 			}
-			if delta < 0.1*st.cfg.SCTol {
+			if delta < 0.1*scTol {
 				break
 			}
 		}

@@ -29,6 +29,10 @@ var (
 	ErrDCNewtonFailed = fmt.Errorf("%w: DC Newton initialization failed", ErrNoConvergence)
 )
 
+// scTol is the SC convergence tolerance, V: an iteration has converged
+// once its largest port-voltage update falls below it.
+const scTol = 1e-6
+
 // scDivergeLimit is the port-voltage update magnitude (volts) past which
 // the SC iteration is declared divergent rather than merely slow. The
 // stage's one SC loop (simulate) applies it on every evaluation path.
@@ -52,7 +56,6 @@ type Config struct {
 
 	Chord  ChordPolicy
 	Order  int     // ROM internal order (default 4)
-	SCTol  float64 // SC convergence tolerance, V (default 1e-6)
 	MaxSC  int     // SC iteration limit per step (default 500)
 	Delta  float64 // variational characterization step (default 1e-3)
 	NoStab bool    // disable the stability filter (ablation only)
@@ -77,9 +80,6 @@ func (c *Config) setDefaults() error {
 	}
 	if c.Order <= 0 {
 		c.Order = 4
-	}
-	if c.SCTol <= 0 {
-		c.SCTol = 1e-6
 	}
 	if c.MaxSC <= 0 {
 		c.MaxSC = 500
