@@ -399,7 +399,7 @@ func (st *Stage) PrimeDC(inputs [][]circuit.Waveform) error {
 	for di, d := range st.drivers {
 		d.resetState(sc.states[di], 0, 0)
 		for k, wf := range inputs[di] {
-			sc.vin0[di][k] = wf.At(0)
+			sc.vin[di][k] = wf.At(0)
 		}
 	}
 	st.warm = nil // prime from the standard start sequence
@@ -407,7 +407,7 @@ func (st *Stage) PrimeDC(inputs [][]circuit.Waveform) error {
 		return fmt.Errorf("teta: PrimeDC: %w", err)
 	}
 	st.warm = &dcWarm{
-		vin0: cloneRows(sc.vin0),
+		vin0: cloneRows(sc.vin),
 		vp:   append([]float64(nil), sc.vp...),
 		unk:  cloneRows(sc.unk),
 	}
