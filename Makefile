@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check vet staticcheck build test race race-short flake-guard bench checkpoint-resume yield-smoke ssta-smoke cache-smoke daemon-smoke records fmt
+.PHONY: check vet staticcheck build test race race-short flake-guard bench checkpoint-resume yield-smoke ssta-smoke cache-smoke daemon-smoke records results fmt
 
 # Full CI gate: vet + staticcheck, build, race-enabled tests (full +
 # short modes), the timer-race flake guard, paper benchmarks with the
@@ -99,6 +99,18 @@ records:
 	$(GO) run ./cmd/example3 -table5 | diff -u results/example3_table5.txt -
 	$(GO) run ./cmd/example3 -figure7 | diff -u results/example3_figure7.txt -
 	$(GO) run ./cmd/example2 -figure6 | diff -u results/example2_figure6.txt -
+
+# Rewrites the five results-of-record files `make records` diffs from
+# the current code. Run it only with a change meant to move them, and say
+# in CHANGES.md what moved and why. It writes no timing file: timings
+# belong to perfbench, and results/example2.txt and the Table 4 files are
+# timing tables.
+results:
+	$(GO) run ./cmd/example1 > results/example1.txt.tmp && mv results/example1.txt.tmp results/example1.txt
+	$(GO) run ./cmd/ablations > results/ablations.txt.tmp && mv results/ablations.txt.tmp results/ablations.txt
+	$(GO) run ./cmd/example3 -table5 > results/example3_table5.txt.tmp && mv results/example3_table5.txt.tmp results/example3_table5.txt
+	$(GO) run ./cmd/example3 -figure7 > results/example3_figure7.txt.tmp && mv results/example3_figure7.txt.tmp results/example3_figure7.txt
+	$(GO) run ./cmd/example2 -figure6 > results/example2_figure6.txt.tmp && mv results/example2_figure6.txt.tmp results/example2_figure6.txt
 
 fmt:
 	gofmt -l -w .

@@ -55,8 +55,10 @@ func SetFS(f faultinj.FS) faultinj.FS {
 // Version is the snapshot schema version. Load rejects snapshots written
 // by a different (future or obsolete) schema. Version 2: stage transients
 // end by the settle rule, so a version-1 journal holds samples this build
-// would not reproduce bit for bit.
-const Version = 2
+// would not reproduce bit for bit. Version 3: the DC start settles a
+// stacked driver's internal nodes by Newton, which moves the block SSTA
+// and SSTA-MC results of circuits with such drivers.
+const Version = 3
 
 // ErrCorruptCheckpoint reports a snapshot file that failed its integrity
 // check: truncated, bit-flipped (CRC32 mismatch), or not a snapshot at

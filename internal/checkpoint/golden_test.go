@@ -3,6 +3,7 @@ package checkpoint
 import (
 	"encoding/json"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -33,8 +34,8 @@ func TestSaveGoldenBytes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	const want = `{"magic":"lcsim-checkpoint","crc32":1992621452}` + "\n" +
-		`{"version":2,"fingerprint":{"kind":"mc","seed":7,"n":100,"sampler":"lhs","engine":"teta-fast","ladder":"teta-exact","policy":"degrade","sources":"abc123","proposal":"is:1"},"next":42,"state":{"mean":1.5,"n":42}}` + "\n"
+	const want = `{"magic":"lcsim-checkpoint","crc32":1252102497}` + "\n" +
+		`{"version":3,"fingerprint":{"kind":"mc","seed":7,"n":100,"sampler":"lhs","engine":"teta-fast","ladder":"teta-exact","policy":"degrade","sources":"abc123","proposal":"is:1"},"next":42,"state":{"mean":1.5,"n":42}}` + "\n"
 	if string(got) != want {
 		t.Fatalf("journal bytes moved:\n got %q\nwant %q", got, want)
 	}
@@ -43,21 +44,37 @@ func TestSaveGoldenBytes(t *testing.T) {
 	}
 }
 
-// TestLoadRefusesVersion1Journal loads the exact bytes a version-1 build
-// wrote for the golden snapshot. Version-1 samples came from stage
-// transients that ran to TStop, which this build's settle rule ends
-// earlier, so resuming one would mix two sets of result bits: Load must
-// refuse it as ErrCorruptCheckpoint, the error core.Sweep fails a resume
-// on and lcsimd restarts a job from sample 0 on.
-func TestLoadRefusesVersion1Journal(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "v1.ck")
-	const v1 = `{"magic":"lcsim-checkpoint","crc32":845891771}` + "\n" +
-		`{"version":1,"fingerprint":{"kind":"mc","seed":7,"n":100,"sampler":"lhs","engine":"teta-fast","ladder":"teta-exact","policy":"degrade","sources":"abc123","proposal":"is:1"},"next":42,"state":{"mean":1.5,"n":42}}` + "\n"
-	if err := os.WriteFile(path, []byte(v1), 0o644); err != nil {
+// refuseJournal writes journal bytes an older build wrote for the golden
+// snapshot and requires Load to refuse them by their schema version as
+// ErrCorruptCheckpoint, the error core.Sweep fails a resume on and
+// lcsimd restarts a job from sample 0 on.
+func refuseJournal(t *testing.T, version int, journal string) {
+	t.Helper()
+	path := filepath.Join(t.TempDir(), "old.ck")
+	if err := os.WriteFile(path, []byte(journal), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	_, _, err := Load(path, nil)
-	if !errors.Is(err, ErrCorruptCheckpoint) || !strings.Contains(err.Error(), "schema version 1") {
-		t.Fatalf("version-1 journal: got %v, want a schema-version refusal wrapping ErrCorruptCheckpoint", err)
+	if !errors.Is(err, ErrCorruptCheckpoint) || !strings.Contains(err.Error(), fmt.Sprintf("schema version %d,", version)) {
+		t.Fatalf("version-%d journal: got %v, want a schema-version refusal wrapping ErrCorruptCheckpoint", version, err)
 	}
+}
+
+// TestLoadRefusesVersion1Journal loads the exact bytes a version-1 build
+// wrote for the golden snapshot. Version-1 samples came from stage
+// transients that ran to TStop, which this build's settle rule ends
+// earlier, so resuming one would mix two sets of result bits.
+func TestLoadRefusesVersion1Journal(t *testing.T) {
+	refuseJournal(t, 1, `{"magic":"lcsim-checkpoint","crc32":845891771}`+"\n"+
+		`{"version":1,"fingerprint":{"kind":"mc","seed":7,"n":100,"sampler":"lhs","engine":"teta-fast","ladder":"teta-exact","policy":"degrade","sources":"abc123","proposal":"is:1"},"next":42,"state":{"mean":1.5,"n":42}}`+"\n")
+}
+
+// TestLoadRefusesVersion2Journal loads the exact bytes a version-2 build
+// wrote for the golden snapshot. Version-2 samples of stages with stacked
+// drivers started from a DC point whose internal-node settle could stop
+// at its iteration limit, which this build's Newton settle does not, so
+// resuming one would mix two sets of result bits.
+func TestLoadRefusesVersion2Journal(t *testing.T) {
+	refuseJournal(t, 2, `{"magic":"lcsim-checkpoint","crc32":1992621452}`+"\n"+
+		`{"version":2,"fingerprint":{"kind":"mc","seed":7,"n":100,"sampler":"lhs","engine":"teta-fast","ladder":"teta-exact","policy":"degrade","sources":"abc123","proposal":"is:1"},"next":42,"state":{"mean":1.5,"n":42}}`+"\n")
 }

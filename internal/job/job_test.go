@@ -74,7 +74,7 @@ func TestSpecMarshalParseRoundTrip(t *testing.T) {
 // TestParseRejectsUnknownField: a typo in a spec must fail loudly, not
 // silently run defaults.
 func TestParseRejectsUnknownField(t *testing.T) {
-	_, err := Parse([]byte(`{"version":2,"driver":"path","run":{"seed":1},"paramz":{}}`))
+	_, err := Parse([]byte(`{"version":3,"driver":"path","run":{"seed":1},"paramz":{}}`))
 	if err == nil {
 		t.Fatal("unknown top-level field accepted")
 	}
@@ -83,11 +83,14 @@ func TestParseRejectsUnknownField(t *testing.T) {
 // TestParseRejectsVersionMismatch: a spec is a durable artifact; any
 // version this build does not read is refused, never reinterpreted.
 // Version 1 specs predate the settle rule, which moved path MC results
-// at an unchanged spec hash, so they are refused too.
+// at an unchanged spec hash, and version 2 specs predate the Newton
+// settle of stacked drivers' internal nodes, which moved block SSTA
+// results the same way, so they are refused too.
 func TestParseRejectsVersionMismatch(t *testing.T) {
 	for _, in := range []string{
 		`{"version":1,"driver":"path","run":{"seed":1}}`,
-		`{"version":3,"driver":"path","run":{"seed":1}}`,
+		`{"version":2,"driver":"sta","run":{"seed":1}}`,
+		`{"version":4,"driver":"path","run":{"seed":1}}`,
 		`{"driver":"path","run":{"seed":1}}`, // version 0 (absent)
 	} {
 		if _, err := Parse([]byte(in)); err == nil {
@@ -97,7 +100,7 @@ func TestParseRejectsVersionMismatch(t *testing.T) {
 }
 
 func TestParseRejectsMissingDriver(t *testing.T) {
-	if _, err := Parse([]byte(`{"version":2,"run":{"seed":1}}`)); err == nil {
+	if _, err := Parse([]byte(`{"version":3,"run":{"seed":1}}`)); err == nil {
 		t.Fatal("spec without a driver accepted")
 	}
 }

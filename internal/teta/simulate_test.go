@@ -114,3 +114,65 @@ func sameResult(a, b *Result) bool {
 	}
 	return true
 }
+
+// sideLevels holds, per cell, the logic levels of inputs 1..NIn-1 that
+// let input 0 control the output: the side inputs the path builder ties
+// off (core's signal table).
+var sideLevels = map[string][]float64{
+	"INV": nil, "BUF": nil,
+	"NAND2": {1}, "NAND3": {1, 1},
+	"NOR2": {0}, "NOR3": {0, 0},
+	"AOI21": {1, 0}, "OAI21": {0, 1},
+	"XOR2": {0}, "MUX2": {0, 0},
+	"AND2": {1}, "OR2": {0},
+}
+
+// TestDCSettleNeverStalls runs the DC start of a one-driver stage for
+// every library cell plus AND2 and OR2, with the side inputs at their
+// non-controlling levels and input 0 at 0 and at VDD, at nominal device
+// parameters and at the ±3σ DL/DVT corners, and requires every settle of
+// the drivers' internal nodes to converge before its iteration limit.
+// OAI21 with a = b = 0 and c = VDD is the case a chord-only settle
+// stalls on: its mid node charges through the c-gated NMOS toward
+// cutoff, where the max chord barely contracts.
+func TestDCSettleNeverStalls(t *testing.T) {
+	tech := device.Tech180
+	cfg := Config{Tech: tech, DT: 4e-12, TStop: 10 * 4e-12, Order: 4}
+	corners := [][2]float64{{0, 0}, {1, 1}, {-1, -1}, {1, -1}, {-1, 1}}
+	for _, name := range append(device.CellNames(), "AND2", "OR2") {
+		cell, err := device.LookupCell(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		side, ok := sideLevels[name]
+		if !ok || len(side) != cell.NIn-1 {
+			t.Fatalf("%s: no side levels for %d inputs", name, cell.NIn)
+		}
+		load := circuit.New()
+		out := interconnect.AddLine(load, interconnect.Wire180, "near", "w", 20, 2, false)
+		load.MarkPort("near")
+		load.MarkPort(out)
+		load.AddC("Crcv", out, "0", circuit.V(2e-15))
+		st, err := BuildStage(load, []DriverSpec{{Name: "d", Cell: cell, Drive: 2, Port: 0}}, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sc := st.NewScratch()
+		for _, in0 := range []float64{0, tech.VDD} {
+			inputs := []circuit.Waveform{circuit.DC(in0)}
+			for _, l := range side {
+				inputs = append(inputs, circuit.DC(l*tech.VDD))
+			}
+			for _, c := range corners {
+				rs := RunSpec{DL: c[0] * tech.TolDL, DVT: c[1] * tech.TolDVT, Inputs: [][]circuit.Waveform{inputs}}
+				before := sc.settleStalls
+				if _, err := st.RunWith(sc, rs); err != nil {
+					t.Fatalf("%s in0=%g corner %v: %v", name, in0, c, err)
+				}
+				if n := sc.settleStalls - before; n > 0 {
+					t.Errorf("%s in0=%g corner %v: %d internal-node settles reached the %d-iteration limit", name, in0, c, n, dcSettleMax)
+				}
+			}
+		}
+	}
+}
