@@ -57,8 +57,12 @@ func SetFS(f faultinj.FS) faultinj.FS {
 // end by the settle rule, so a version-1 journal holds samples this build
 // would not reproduce bit for bit. Version 3: the DC start settles a
 // stacked driver's internal nodes by Newton, which moves the block SSTA
-// and SSTA-MC results of circuits with such drivers.
-const Version = 3
+// and SSTA-MC results of circuits with such drivers. Version 4: the
+// streaming statistics keep one weighted state per estimator. A
+// version-3 path-MC or SSTA-MC payload carries Σx and Σx² but no Σw,
+// Σw², Σwx, Σwx², P² weight sums or warm-up weights, and encoding/json
+// would restore each missing field as zero rather than fail.
+const Version = 4
 
 // ErrCorruptCheckpoint reports a snapshot file that failed its integrity
 // check: truncated, bit-flipped (CRC32 mismatch), or not a snapshot at

@@ -34,8 +34,8 @@ func TestSaveGoldenBytes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	const want = `{"magic":"lcsim-checkpoint","crc32":1252102497}` + "\n" +
-		`{"version":3,"fingerprint":{"kind":"mc","seed":7,"n":100,"sampler":"lhs","engine":"teta-fast","ladder":"teta-exact","policy":"degrade","sources":"abc123","proposal":"is:1"},"next":42,"state":{"mean":1.5,"n":42}}` + "\n"
+	const want = `{"magic":"lcsim-checkpoint","crc32":4288387042}` + "\n" +
+		`{"version":4,"fingerprint":{"kind":"mc","seed":7,"n":100,"sampler":"lhs","engine":"teta-fast","ladder":"teta-exact","policy":"degrade","sources":"abc123","proposal":"is:1"},"next":42,"state":{"mean":1.5,"n":42}}` + "\n"
 	if string(got) != want {
 		t.Fatalf("journal bytes moved:\n got %q\nwant %q", got, want)
 	}
@@ -77,4 +77,14 @@ func TestLoadRefusesVersion1Journal(t *testing.T) {
 func TestLoadRefusesVersion2Journal(t *testing.T) {
 	refuseJournal(t, 2, `{"magic":"lcsim-checkpoint","crc32":1992621452}`+"\n"+
 		`{"version":2,"fingerprint":{"kind":"mc","seed":7,"n":100,"sampler":"lhs","engine":"teta-fast","ladder":"teta-exact","policy":"degrade","sources":"abc123","proposal":"is:1"},"next":42,"state":{"mean":1.5,"n":42}}`+"\n")
+}
+
+// TestLoadRefusesVersion3Journal loads the exact bytes a version-3 build
+// wrote for the golden snapshot. A version-3 path-MC or SSTA-MC payload
+// holds unit-weight streaming statistics without the weight sums this
+// build's accumulators need, which encoding/json would restore as zero,
+// so resuming one would silently corrupt the moments and quantiles.
+func TestLoadRefusesVersion3Journal(t *testing.T) {
+	refuseJournal(t, 3, `{"magic":"lcsim-checkpoint","crc32":1252102497}`+"\n"+
+		`{"version":3,"fingerprint":{"kind":"mc","seed":7,"n":100,"sampler":"lhs","engine":"teta-fast","ladder":"teta-exact","policy":"degrade","sources":"abc123","proposal":"is:1"},"next":42,"state":{"mean":1.5,"n":42}}`+"\n")
 }

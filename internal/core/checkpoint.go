@@ -121,11 +121,11 @@ func isProposal(budget, inflate, scale, mix, targetCI float64, maxN int, shift [
 // snapshot: the self-normalized estimator, the weighted delay summary,
 // the failure report and the cost counters.
 type isPayload struct {
-	Est      stat.ISEstimatorState     `json:"est"`
-	Weighted stat.WeightedSummaryState `json:"weighted"`
-	TotalSC  int                       `json:"total_sc"`
-	Failures FailureReport             `json:"failures"`
-	Metrics  runner.Snapshot           `json:"metrics"`
+	Est      stat.ISEstimatorState   `json:"est"`
+	Weighted stat.StreamSummaryState `json:"weighted"`
+	TotalSC  int                     `json:"total_sc"`
+	Failures FailureReport           `json:"failures"`
+	Metrics  runner.Snapshot         `json:"metrics"`
 }
 
 // skewPayload is the driver-specific state inside a skew snapshot: the

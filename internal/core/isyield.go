@@ -385,7 +385,7 @@ func (p *Path) ImportanceYieldCtx(ctx context.Context, cfg ISConfig) (*ISResult,
 	}
 
 	est := &stat.ISEstimator{}
-	weighted := stat.NewWeightedSummary()
+	weighted := stat.NewStreamSummary()
 	sw := &Sweep[mcEval]{
 		Primary:  primary,
 		Ladder:   ladder,
@@ -399,7 +399,7 @@ func (p *Path) ImportanceYieldCtx(ctx context.Context, cfg ISConfig) (*ISResult,
 				w = math.NaN()
 			}
 			est.Add(w, v.delay > budget)
-			weighted.Add(v.delay, w)
+			weighted.AddWeighted(v.delay, w)
 			res.TotalSC += v.sc
 		},
 		// Durable journal: the fingerprint additionally pins the proposal

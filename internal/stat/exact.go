@@ -104,109 +104,3 @@ func (s *ExactSum) Partials() []float64 {
 func (s *ExactSum) SetPartials(ps []float64) {
 	s.p = append(s.p[:0:0], ps...)
 }
-
-// Moments is an order-independent streaming moment accumulator: count,
-// min/max, and exact Σx / Σx² via ExactSum (Σx² contributions are split
-// into an exact product hi+lo pair with an FMA, so the accumulated square
-// sum is itself exact). Mean and variance are computed from the
-// correctly-rounded exact sums, so two Moments fed the same multiset of
-// values — in any order, through any partition merged with Merge — read
-// back bit-identical statistics. This is what makes per-worker sharding
-// of the Monte-Carlo statistics sink safe.
-//
-// Non-finite observations are rejected and counted in NonFinite rather
-// than accumulated. The zero value is an empty accumulator.
-type Moments struct {
-	n         int
-	nonfinite int
-	min, max  float64
-	sum       ExactSum
-	sumsq     ExactSum
-}
-
-// Add folds one observation into the accumulator. Non-finite x is
-// rejected and counted.
-func (m *Moments) Add(x float64) {
-	if math.IsNaN(x) || math.IsInf(x, 0) {
-		m.nonfinite++
-		return
-	}
-	if m.n == 0 {
-		m.min, m.max = x, x
-	} else {
-		if x < m.min {
-			m.min = x
-		}
-		if x > m.max {
-			m.max = x
-		}
-	}
-	m.n++
-	m.sum.Add(x)
-	hi := x * x
-	m.sumsq.Add(hi)
-	if lo := math.FMA(x, x, -hi); lo != 0 {
-		m.sumsq.Add(lo)
-	}
-}
-
-// Merge folds another accumulator into this one exactly; the merged
-// statistics are bit-identical to a single accumulator fed both value
-// streams in any order.
-func (m *Moments) Merge(o *Moments) {
-	if o.n > 0 {
-		if m.n == 0 {
-			m.min, m.max = o.min, o.max
-		} else {
-			if o.min < m.min {
-				m.min = o.min
-			}
-			if o.max > m.max {
-				m.max = o.max
-			}
-		}
-	}
-	m.n += o.n
-	m.nonfinite += o.nonfinite
-	m.sum.Merge(&o.sum)
-	m.sumsq.Merge(&o.sumsq)
-}
-
-// N returns the accepted observation count.
-func (m *Moments) N() int { return m.n }
-
-// NonFinite returns the rejected observation count.
-func (m *Moments) NonFinite() int { return m.nonfinite }
-
-// Mean returns the sample mean (0 when empty).
-func (m *Moments) Mean() float64 {
-	if m.n == 0 {
-		return 0
-	}
-	return m.sum.Value() / float64(m.n)
-}
-
-// Var returns the unbiased sample variance, computed from the
-// correctly-rounded exact Σx and Σx² (clamped at 0 against the one
-// rounding step the final combination performs).
-func (m *Moments) Var() float64 {
-	if m.n < 2 {
-		return 0
-	}
-	s1 := m.sum.Value()
-	s2 := m.sumsq.Value()
-	v := (s2 - s1*s1/float64(m.n)) / float64(m.n-1)
-	if v < 0 {
-		return 0
-	}
-	return v
-}
-
-// Std returns the unbiased sample standard deviation.
-func (m *Moments) Std() float64 { return math.Sqrt(m.Var()) }
-
-// Min returns the smallest accepted observation (0 when empty).
-func (m *Moments) Min() float64 { return m.min }
-
-// Max returns the largest accepted observation (0 when empty).
-func (m *Moments) Max() float64 { return m.max }

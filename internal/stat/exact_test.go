@@ -97,12 +97,18 @@ func momentsEqualBits(a, b *Moments) bool {
 // per-worker sharded accumulators: any partition of the sample stream
 // into shards, merged in any order, reproduces the single-stream moments
 // bit for bit — including non-finite rejection counts and empty shards.
+// Odd trials carry likelihood-ratio weights, even trials weight 1.
 func TestMomentsShardedMergeBitExact(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	for trial := 0; trial < 30; trial++ {
 		xs := hardValues(rng, 250)
+		ws := make([]float64, len(xs))
 		// Sprinkle in rejects: the shards must count them identically.
 		for i := range xs {
+			ws[i] = 1
+			if trial%2 == 1 {
+				ws[i] = math.Exp(rng.NormFloat64()*4 - 8)
+			}
 			if rng.Intn(40) == 0 {
 				xs[i] = math.NaN()
 			}
@@ -111,13 +117,13 @@ func TestMomentsShardedMergeBitExact(t *testing.T) {
 			}
 		}
 		var whole Moments
-		for _, x := range xs {
-			whole.Add(x)
+		for i, x := range xs {
+			whole.AddWeighted(x, ws[i])
 		}
 		k := 1 + rng.Intn(8) // k=1 and shards left empty are both legal
 		shards := make([]Moments, k)
-		for _, x := range xs {
-			shards[rng.Intn(k)].Add(x)
+		for i, x := range xs {
+			shards[rng.Intn(k)].AddWeighted(x, ws[i])
 		}
 		var merged Moments
 		for _, i := range rng.Perm(k) {

@@ -120,16 +120,16 @@ func TestP2QuantileStateRoundTrip(t *testing.T) {
 			}
 			ref := NewP2Quantile(p)
 			for _, x := range xs {
-				ref.Add(x)
+				ref.AddWeighted(x, 1)
 			}
 			a := NewP2Quantile(p)
 			for _, x := range xs[:k] {
-				a.Add(x)
+				a.AddWeighted(x, 1)
 			}
 			b := NewP2Quantile(p)
 			b.Restore(jsonRoundTrip(t, a.State()))
 			for _, x := range xs[k:] {
-				b.Add(x)
+				b.AddWeighted(x, 1)
 			}
 			if b.N() != ref.N() || !sameFloat(b.Value(), ref.Value()) {
 				t.Fatalf("p=%g trial %d: P² value differs after restore at k=%d of %d: %g vs %g",

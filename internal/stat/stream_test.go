@@ -19,7 +19,7 @@ func TestP2QuantileAccuracy(t *testing.T) {
 		xs := make([]float64, 20000)
 		for i := range xs {
 			xs[i] = 10 + 2*rng.NormFloat64()
-			est.Add(xs[i])
+			est.AddWeighted(xs[i], 1)
 		}
 		sorted := append([]float64(nil), xs...)
 		sortFloats(sorted)
@@ -36,7 +36,7 @@ func TestP2QuantileSmallSamples(t *testing.T) {
 		t.Fatal("empty estimator must be NaN")
 	}
 	for _, x := range []float64{3, 1, 2} {
-		est.Add(x)
+		est.AddWeighted(x, 1)
 	}
 	if est.Value() != 2 {
 		t.Fatalf("median of {1,2,3} = %g", est.Value())

@@ -5,29 +5,30 @@ import (
 	"sort"
 )
 
-// Likelihood-ratio-weighted accumulators for importance-sampled runs.
+// Likelihood-ratio-weighted accumulators for Monte-Carlo and
+// importance-sampled runs.
 //
 // An importance-sampling sweep draws samples from a shifted proposal
 // density q and corrects each observation by the likelihood ratio
-// w = f(x)/q(x) against the target density f. Every accumulator in this
-// file consumes (observation, weight) pairs and follows the same two
-// contracts as its unweighted counterpart:
+// w = f(x)/q(x) against the target density f; a plain Monte-Carlo run
+// is the case w = 1. Each statistic has one implementation, the
+// weighted one, and StreamSummary composes them. They follow two
+// contracts:
 //
-//   - Feeding weight 1 for every observation reproduces the unweighted
-//     accumulator bit for bit (property-tested): the weighted paths are
-//     written so that each floating-point operation degenerates to the
-//     exact instruction sequence of P2Quantile / Moments when
-//     w == 1.
+//   - Where an accumulator takes plain observations, Add(x) is
+//     AddWeighted(x, 1). With unit weights Σw counts the samples
+//     exactly and every FMA-split low part of w·x is zero, so the
+//     statistics read as the classic unweighted ones.
 //   - Invalid inputs are rejected and counted, never accumulated. A
 //     weight must be finite and non-negative; a NaN or negative weight
 //     would silently poison every downstream statistic exactly like a
 //     NaN observation, so both are counted in the same rejection
-//     counter non-finite observations use today.
+//     counter non-finite observations use.
 //
-// WeightedMoments and ISEstimator additionally accumulate on ExactSum,
-// so their sums are exact and independent of the order samples arrive
-// in. Importance-sampled sweeps feed every accumulator here at the
-// sweep's ordered drain, one sample at a time.
+// Moments and ISEstimator accumulate on ExactSum, so their sums are
+// exact and independent of the order samples arrive in. The P²
+// quantiles are order-sensitive and are fed at the sweep's ordered
+// drain, one sample at a time.
 
 // weightOK reports whether a likelihood-ratio weight is usable: finite
 // and non-negative. (Zero is allowed — deep-tail likelihood ratios can
@@ -36,13 +37,18 @@ func weightOK(w float64) bool {
 	return !math.IsNaN(w) && !math.IsInf(w, 0) && w >= 0
 }
 
-// WeightedMoments is the order-independent weighted moment accumulator:
+// Moments is the order-independent streaming moment accumulator:
 // count, min/max, and exact Σw / Σw² / Σwx / Σwx² via ExactSum. Each
 // per-sample contribution is split into exact hi+lo products with FMA,
-// so the accumulated sums are exact whatever order the samples arrive in.
-// Non-finite observations and invalid weights are rejected and counted.
-// The zero value is an empty accumulator.
-type WeightedMoments struct {
+// so the accumulated sums are exact whatever order the samples arrive
+// in. Mean and variance are computed from the correctly-rounded exact
+// sums, so two Moments fed the same multiset of pairs — in any order,
+// through any partition merged with Merge — read back bit-identical
+// statistics. This is what makes per-worker sharding of the
+// Monte-Carlo statistics sink safe. Non-finite observations and invalid
+// weights are rejected and counted in NonFinite. The zero value is an
+// empty accumulator.
+type Moments struct {
 	n         int
 	nonfinite int
 	min, max  float64
@@ -62,8 +68,12 @@ func addProduct(s *ExactSum, a, b float64) {
 	}
 }
 
-// Add folds one (observation, weight) pair into the accumulator.
-func (m *WeightedMoments) Add(x, w float64) {
+// Add is AddWeighted with weight 1.
+func (m *Moments) Add(x float64) { m.AddWeighted(x, 1) }
+
+// AddWeighted folds one (observation, weight) pair into the
+// accumulator.
+func (m *Moments) AddWeighted(x, w float64) {
 	if math.IsNaN(x) || math.IsInf(x, 0) || !weightOK(w) {
 		m.nonfinite++
 		return
@@ -91,14 +101,38 @@ func (m *WeightedMoments) Add(x, w float64) {
 	}
 }
 
+// Merge folds another accumulator into this one exactly; the merged
+// statistics are bit-identical to a single accumulator fed both pair
+// streams in any order.
+func (m *Moments) Merge(o *Moments) {
+	if o.n > 0 {
+		if m.n == 0 {
+			m.min, m.max = o.min, o.max
+		} else {
+			if o.min < m.min {
+				m.min = o.min
+			}
+			if o.max > m.max {
+				m.max = o.max
+			}
+		}
+	}
+	m.n += o.n
+	m.nonfinite += o.nonfinite
+	m.sw.Merge(&o.sw)
+	m.sw2.Merge(&o.sw2)
+	m.swx.Merge(&o.swx)
+	m.swx2.Merge(&o.swx2)
+}
+
 // N returns the accepted observation count.
-func (m *WeightedMoments) N() int { return m.n }
+func (m *Moments) N() int { return m.n }
 
 // NonFinite returns the rejected observation count.
-func (m *WeightedMoments) NonFinite() int { return m.nonfinite }
+func (m *Moments) NonFinite() int { return m.nonfinite }
 
 // Mean returns the weighted mean Σwx/Σw (0 when no weight accepted).
-func (m *WeightedMoments) Mean() float64 {
+func (m *Moments) Mean() float64 {
 	sw := m.sw.Value()
 	if sw <= 0 {
 		return 0
@@ -109,8 +143,9 @@ func (m *WeightedMoments) Mean() float64 {
 // Var returns the unbiased reliability-weighted sample variance
 // (Σwx² − (Σwx)²/Σw) / (Σw − Σw²/Σw), computed from the
 // correctly-rounded exact sums and clamped at 0 against the final
-// rounding combination.
-func (m *WeightedMoments) Var() float64 {
+// rounding combination. With unit weights it is the unbiased sample
+// variance (Σx² − (Σx)²/n) / (n − 1).
+func (m *Moments) Var() float64 {
 	if m.n < 2 {
 		return 0
 	}
@@ -130,13 +165,13 @@ func (m *WeightedMoments) Var() float64 {
 }
 
 // Std returns the square root of Var.
-func (m *WeightedMoments) Std() float64 { return math.Sqrt(m.Var()) }
+func (m *Moments) Std() float64 { return math.Sqrt(m.Var()) }
 
 // Min returns the smallest accepted observation (0 when empty).
-func (m *WeightedMoments) Min() float64 { return m.min }
+func (m *Moments) Min() float64 { return m.min }
 
 // Max returns the largest accepted observation (0 when empty).
-func (m *WeightedMoments) Max() float64 { return m.max }
+func (m *Moments) Max() float64 { return m.max }
 
 // ISEstimator is the self-normalized importance-sampling estimator of a
 // failure probability: each sample contributes its likelihood ratio w
@@ -245,36 +280,38 @@ func (e *ISEstimator) FailESS() float64 {
 	return swh * swh / sw2h
 }
 
-// WeightedP2Quantile estimates a single quantile of a weighted stream
-// online with a weight-extended P² algorithm: marker positions advance
-// by the observation's weight instead of by one, desired positions by
-// dn[i]·w, and the marker-adjustment step/threshold scale with the
-// running mean weight so adaptivity does not depend on the absolute
-// weight scale. With unit weights every operation degenerates to the
-// exact instruction sequence of P2Quantile, so the reduction is bit
-// exact. Non-finite observations and invalid weights are ignored (feed
-// it through WeightedSummary, which counts rejections).
-type WeightedP2Quantile struct {
+// P2Quantile estimates a single quantile of a weighted stream online
+// with a weight-extended P² algorithm (Jain & Chlamtac 1985): five
+// markers track the quantile without storing the sample, so memory is
+// O(1) and accuracy is within ~1% of the exact order statistic for
+// well-behaved distributions. Marker positions advance by the
+// observation's weight instead of by one, desired positions by dn[i]·w,
+// and the marker-adjustment step/threshold scale with the running mean
+// weight so adaptivity does not depend on the absolute weight scale.
+// With unit weights it is the classic algorithm. Non-finite
+// observations and invalid weights are ignored (StreamSummary counts
+// them).
+type P2Quantile struct {
 	p     float64
 	n     int
 	sumw  float64
-	q     [5]float64
-	pos   [5]float64
-	want  [5]float64
-	dn    [5]float64
-	init  [5]float64
-	initw [5]float64
+	q     [5]float64 // marker heights
+	pos   [5]float64 // marker positions (cumulative weight)
+	want  [5]float64 // desired positions
+	dn    [5]float64 // desired-position increments per unit weight
+	init  [5]float64 // first five observations
+	initw [5]float64 // and their weights
 }
 
-// NewWeightedP2Quantile creates an estimator for quantile p in (0, 1).
-func NewWeightedP2Quantile(p float64) *WeightedP2Quantile {
-	e := &WeightedP2Quantile{p: p}
+// NewP2Quantile creates an estimator for quantile p in (0, 1).
+func NewP2Quantile(p float64) *P2Quantile {
+	e := &P2Quantile{p: p}
 	e.dn = [5]float64{0, p / 2, p, (1 + p) / 2, 1}
 	return e
 }
 
-// Add folds one (observation, weight) pair into the estimator.
-func (e *WeightedP2Quantile) Add(x, w float64) {
+// AddWeighted folds one (observation, weight) pair into the estimator.
+func (e *P2Quantile) AddWeighted(x, w float64) {
 	if math.IsNaN(x) || math.IsInf(x, 0) || !weightOK(w) {
 		return
 	}
@@ -339,7 +376,7 @@ func (e *WeightedP2Quantile) Add(x, w float64) {
 // warmup initializes the markers from the first five pairs: heights are
 // the sorted observations, positions the cumulative weights, and the
 // desired positions interpolate the cumulative-weight range.
-func (e *WeightedP2Quantile) warmup() {
+func (e *P2Quantile) warmup() {
 	type pair struct{ x, w float64 }
 	ps := make([]pair, 5)
 	for i := range ps {
@@ -359,7 +396,7 @@ func (e *WeightedP2Quantile) warmup() {
 
 // parabolic is the P² piecewise-parabolic marker update with step
 // |step| = mean weight in the direction of step.
-func (e *WeightedP2Quantile) parabolic(i int, step float64) float64 {
+func (e *P2Quantile) parabolic(i int, step float64) float64 {
 	return e.q[i] + step/(e.pos[i+1]-e.pos[i-1])*
 		((e.pos[i]-e.pos[i-1]+step)*(e.q[i+1]-e.q[i])/(e.pos[i+1]-e.pos[i])+
 			(e.pos[i+1]-e.pos[i]-step)*(e.q[i]-e.q[i-1])/(e.pos[i]-e.pos[i-1]))
@@ -367,18 +404,18 @@ func (e *WeightedP2Quantile) parabolic(i int, step float64) float64 {
 
 // linear is the fallback update when the parabola exits the bracket;
 // s carries the ±1 direction, step the signed mean-weight increment.
-func (e *WeightedP2Quantile) linear(i int, s, step float64) float64 {
+func (e *P2Quantile) linear(i int, s, step float64) float64 {
 	j := i + int(s)
 	return e.q[i] + step*(e.q[j]-e.q[i])/(e.pos[j]-e.pos[i])
 }
 
 // N returns the accepted observation count.
-func (e *WeightedP2Quantile) N() int { return e.n }
+func (e *P2Quantile) N() int { return e.n }
 
 // Value returns the current quantile estimate. For fewer than five
 // observations it interpolates the stored weighted sample exactly (with
-// unit weights this reduces bit-exactly to the unweighted path).
-func (e *WeightedP2Quantile) Value() float64 {
+// unit weights, Quantile of the sorted sample).
+func (e *P2Quantile) Value() float64 {
 	if e.n == 0 {
 		return math.NaN()
 	}
@@ -391,7 +428,7 @@ func (e *WeightedP2Quantile) Value() float64 {
 // smallValue computes the pre-warmup weighted quantile: order statistics
 // positioned at cumulative weights, target position interpolating the
 // cumulative range — the weighted generalization of Quantile(sorted, p).
-func (e *WeightedP2Quantile) smallValue() float64 {
+func (e *P2Quantile) smallValue() float64 {
 	type pair struct{ x, w float64 }
 	ps := make([]pair, e.n)
 	for i := range ps {
@@ -425,61 +462,4 @@ func (e *WeightedP2Quantile) smallValue() float64 {
 	}
 	frac := (t - (cum[lo] - cum[0])) / gap
 	return ps[lo].x*(1-frac) + ps[lo+1].x*frac
-}
-
-// WeightedSummary is the weighted counterpart of StreamSummary: exact
-// order-independent weighted moments (WeightedMoments) plus weighted P²
-// estimators for the median and the 5th/95th percentiles of the
-// reweighted distribution. The P² quantiles are order-sensitive, so it
-// is fed at the ordered drain. Non-finite observations and invalid
-// weights are rejected and counted.
-type WeightedSummary struct {
-	m           WeightedMoments
-	med, lo, hi *WeightedP2Quantile
-}
-
-// NewWeightedSummary creates an empty weighted summary sink.
-func NewWeightedSummary() *WeightedSummary {
-	return &WeightedSummary{
-		med: NewWeightedP2Quantile(0.5),
-		lo:  NewWeightedP2Quantile(0.05),
-		hi:  NewWeightedP2Quantile(0.95),
-	}
-}
-
-// Add folds one (observation, weight) pair into every accumulator.
-func (s *WeightedSummary) Add(x, w float64) {
-	s.m.Add(x, w)
-	if math.IsNaN(x) || math.IsInf(x, 0) || !weightOK(w) {
-		return
-	}
-	s.med.Add(x, w)
-	s.lo.Add(x, w)
-	s.hi.Add(x, w)
-}
-
-// N returns the accepted observation count.
-func (s *WeightedSummary) N() int { return s.m.N() }
-
-// Rejected returns the number of pairs rejected by Add.
-func (s *WeightedSummary) Rejected() int { return s.m.NonFinite() }
-
-// Summary renders the weighted state as a Summary of the reweighted
-// distribution: exact weighted mean/std plus weighted-P² quantile
-// estimates. N is the raw accepted sample count.
-func (s *WeightedSummary) Summary() Summary {
-	if s.m.N() == 0 {
-		return Summary{NonFinite: s.m.NonFinite()}
-	}
-	return Summary{
-		N:         s.m.N(),
-		Mean:      s.m.Mean(),
-		Std:       s.m.Std(),
-		Min:       s.m.Min(),
-		Max:       s.m.Max(),
-		Median:    s.med.Value(),
-		P05:       s.lo.Value(),
-		P95:       s.hi.Value(),
-		NonFinite: s.m.NonFinite(),
-	}
 }

@@ -6,55 +6,6 @@ import (
 	"testing"
 )
 
-// --- satellite property 1: all-weights-1 reduces bit-exactly to the
-// unweighted accumulators ---
-
-func TestWeightedP2UnitWeightsReduceToP2(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	for trial := 0; trial < 200; trial++ {
-		// Small lengths keep the pre-warmup interpolation path hot; long
-		// streams exercise many marker adjustments.
-		n := rng.Intn(7)
-		if trial%3 == 0 {
-			n = 5 + rng.Intn(500)
-		}
-		for _, p := range []float64{0.05, 0.5, 0.95} {
-			u := NewP2Quantile(p)
-			w := NewWeightedP2Quantile(p)
-			for i := 0; i < n; i++ {
-				x := rng.NormFloat64()*3 + 10
-				u.Add(x)
-				w.Add(x, 1)
-			}
-			if u.N() != w.N() {
-				t.Fatalf("trial %d p=%v: N %d vs %d", trial, p, u.N(), w.N())
-			}
-			if n > 0 && !sameFloat(u.Value(), w.Value()) {
-				t.Fatalf("trial %d p=%v n=%d: value %v != %v", trial, p, n, u.Value(), w.Value())
-			}
-		}
-	}
-}
-
-func TestWeightedSummaryUnitWeightsReduceToStreamSummary(t *testing.T) {
-	rng := rand.New(rand.NewSource(13))
-	for trial := 0; trial < 100; trial++ {
-		xs := randomStream(rng, rng.Intn(300)) // includes NaN/Inf observations
-		u := NewStreamSummary()
-		w := NewWeightedSummary()
-		for _, x := range xs {
-			u.Add(x)
-			w.Add(x, 1)
-		}
-		if u.Rejected() != w.Rejected() {
-			t.Fatalf("trial %d: rejected %d vs %d", trial, u.Rejected(), w.Rejected())
-		}
-		if !sameSummary(u.Summary(), w.Summary()) {
-			t.Fatalf("trial %d: summary %+v != %+v", trial, u.Summary(), w.Summary())
-		}
-	}
-}
-
 // weightedStream draws (observation, weight) pairs with the weight
 // scale of a deep-tail importance-sampled run.
 func weightedStream(rng *rand.Rand, n int) (xs, ws []float64) {
@@ -67,32 +18,32 @@ func weightedStream(rng *rand.Rand, n int) (xs, ws []float64) {
 	return xs, ws
 }
 
-// --- satellite property 3: invalid weights are rejected and counted
-// like non-finite observations ---
+// --- invalid weights are rejected and counted like non-finite
+// observations ---
 
 func TestWeightedAccumulatorsRejectInvalidWeights(t *testing.T) {
 	bad := []float64{math.NaN(), math.Inf(1), math.Inf(-1), -0.5}
 
-	var wm WeightedMoments
+	var wm Moments
 	var is ISEstimator
-	ws := NewWeightedSummary()
-	wm.Add(1, 1)
+	ws := NewStreamSummary()
+	wm.AddWeighted(1, 1)
 	is.Add(1, true)
-	ws.Add(1, 1)
+	ws.AddWeighted(1, 1)
 	for _, b := range bad {
-		wm.Add(2, b)
+		wm.AddWeighted(2, b)
 		is.Add(b, true)
-		ws.Add(2, b)
+		ws.AddWeighted(2, b)
 	}
 
 	if wm.NonFinite() != len(bad) || wm.N() != 1 {
-		t.Fatalf("WeightedMoments: nonfinite=%d n=%d", wm.NonFinite(), wm.N())
+		t.Fatalf("Moments: nonfinite=%d n=%d", wm.NonFinite(), wm.N())
 	}
 	if is.Rejected() != len(bad) || is.N() != 1 || is.Fails() != 1 {
 		t.Fatalf("ISEstimator: rejected=%d n=%d fails=%d", is.Rejected(), is.N(), is.Fails())
 	}
 	if ws.Rejected() != len(bad) || ws.N() != 1 {
-		t.Fatalf("WeightedSummary: rejected=%d n=%d", ws.Rejected(), ws.N())
+		t.Fatalf("StreamSummary: rejected=%d n=%d", ws.Rejected(), ws.N())
 	}
 
 	// The rejected pairs must not have perturbed the statistics: the
@@ -103,7 +54,7 @@ func TestWeightedAccumulatorsRejectInvalidWeights(t *testing.T) {
 
 	// A zero weight is legal (deep-tail likelihood ratios underflow):
 	// accepted, not counted as a rejection.
-	wm.Add(5, 0)
+	wm.AddWeighted(5, 0)
 	if wm.NonFinite() != len(bad) || wm.N() != 2 {
 		t.Fatalf("zero weight mis-handled: rejected=%d n=%d", wm.NonFinite(), wm.N())
 	}
@@ -171,14 +122,14 @@ func TestISEstimatorWeightedAgainstDirect(t *testing.T) {
 // TestWeightedMomentsReweights pins the semantics: weighting sample
 // regions up must move the weighted mean toward them.
 func TestWeightedMomentsReweights(t *testing.T) {
-	var m WeightedMoments
+	var m Moments
 	for i := 0; i < 1000; i++ {
 		x := float64(i) / 1000
 		w := 1.0
 		if x > 0.8 {
 			w = 10 // emphasize the upper tail
 		}
-		m.Add(x, w)
+		m.AddWeighted(x, w)
 	}
 	if mean := m.Mean(); mean < 0.6 {
 		t.Fatalf("weighted mean %v did not shift toward the upweighted tail", mean)
@@ -205,19 +156,19 @@ func TestWeightedSummaryStateRoundTrip(t *testing.T) {
 			k = rng.Intn(n + 1)
 		}
 
-		ref := NewWeightedSummary()
+		ref := NewStreamSummary()
 		for i := range xs {
-			ref.Add(xs[i], ws[i])
+			ref.AddWeighted(xs[i], ws[i])
 		}
 
-		a := NewWeightedSummary()
+		a := NewStreamSummary()
 		for i := 0; i < k; i++ {
-			a.Add(xs[i], ws[i])
+			a.AddWeighted(xs[i], ws[i])
 		}
-		b := NewWeightedSummary()
+		b := NewStreamSummary()
 		b.Restore(jsonRoundTrip(t, a.State()))
 		for i := k; i < n; i++ {
-			b.Add(xs[i], ws[i])
+			b.AddWeighted(xs[i], ws[i])
 		}
 
 		if ref.Rejected() != b.Rejected() || !sameSummary(ref.Summary(), b.Summary()) {
