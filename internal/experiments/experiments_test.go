@@ -174,14 +174,32 @@ func ex3SmallSet() []iscas.Benchmark {
 	return []iscas.Benchmark{{Name: "s27", Stages: 6, Seed: 27}, {Name: "s208", Stages: 9, Seed: 208}}
 }
 
+// TestTable4SpeedupShape times each row's framework and SPICE runs as
+// the fastest of three RunTable4 calls: one-shot timings of 4 framework
+// samples against 1 SPICE run let a single stall on a shared host
+// reorder the rows.
 func TestTable4SpeedupShape(t *testing.T) {
 	o := Ex3Options{Samples: 10}
-	rows, err := RunTable4(o, ex3SmallSet()[:1], []int{10, 100}, 4, 1)
-	if err != nil {
-		t.Fatal(err)
+	var rows []Table4Row
+	for call := 0; call < 3; call++ {
+		got, err := RunTable4(o, ex3SmallSet()[:1], []int{10, 100}, 4, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(got) != 2 {
+			t.Fatalf("rows: %d", len(got))
+		}
+		if rows == nil {
+			rows = got
+			continue
+		}
+		for i, r := range got {
+			rows[i].FrameworkSec = math.Min(rows[i].FrameworkSec, r.FrameworkSec)
+			rows[i].SPICESec = math.Min(rows[i].SPICESec, r.SPICESec)
+		}
 	}
-	if len(rows) != 2 {
-		t.Fatalf("rows: %d", len(rows))
+	for i := range rows {
+		rows[i].Speedup = rows[i].SPICESec / rows[i].FrameworkSec
 	}
 	// Speedup must exceed 1 and grow with the linear-element count
 	// (Table 4's qualitative content).
