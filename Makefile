@@ -1,8 +1,8 @@
 GO ?= go
 
-.PHONY: check vet staticcheck build test race race-short flake-guard bench checkpoint-resume yield-smoke ssta-smoke cache-smoke daemon-smoke records results fmt
+.PHONY: check vet gofmt staticcheck build test race race-short flake-guard bench checkpoint-resume yield-smoke ssta-smoke cache-smoke daemon-smoke records results fmt
 
-# Full CI gate: vet + staticcheck, build, race-enabled tests (full +
+# Full CI gate: vet + gofmt + staticcheck, build, race-enabled tests (full +
 # short modes), the timer-race flake guard, paper benchmarks with the
 # multi-core scaling gate, crash-safety kill/resume gate,
 # importance-sampling yield gate, full-chip SSTA gate, warm model-cache
@@ -10,10 +10,18 @@ GO ?= go
 # before every merge (see README "Failure policy" / pre-merge gate).
 # Performance numbers come from the repo benchmark,
 # `bash perfbench/run.sh`, not from this target.
-check: vet staticcheck build race race-short flake-guard bench checkpoint-resume yield-smoke ssta-smoke cache-smoke daemon-smoke records
+check: vet gofmt staticcheck build race race-short flake-guard bench checkpoint-resume yield-smoke ssta-smoke cache-smoke daemon-smoke records
 
 vet:
 	$(GO) vet ./...
+
+# Formatting gate: fails when gofmt would reformat any tracked .go file.
+# It reads the list from git, so build and benchmark outputs such as
+# .bench_build/ are never scanned.
+gofmt:
+	@files=$$(git ls-files '*.go') || exit 1; \
+	out=$$(gofmt -l $$files) || exit 1; \
+	if [ -n "$$out" ]; then echo "gofmt -l lists:"; echo "$$out"; exit 1; fi
 
 # Pinned staticcheck via `go run` (nothing installed); skips itself
 # (exit 0, with a notice) when the tool cannot be fetched — offline
