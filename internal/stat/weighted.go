@@ -413,8 +413,8 @@ func (e *P2Quantile) linear(i int, s, step float64) float64 {
 func (e *P2Quantile) N() int { return e.n }
 
 // Value returns the current quantile estimate. For fewer than five
-// observations it interpolates the stored weighted sample exactly (with
-// unit weights, Quantile of the sorted sample).
+// observations it interpolates the stored weighted sample exactly; with
+// unit weights that is Quantile of the sorted sample.
 func (e *P2Quantile) Value() float64 {
 	if e.n == 0 {
 		return math.NaN()
