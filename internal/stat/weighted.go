@@ -15,10 +15,10 @@ import (
 // weighted one, and StreamSummary composes them. They follow two
 // contracts:
 //
-//   - Where an accumulator takes plain observations, Add(x) is
-//     AddWeighted(x, 1). With unit weights Σw counts the samples
-//     exactly and every FMA-split low part of w·x is zero, so the
-//     statistics read as the classic unweighted ones.
+//   - Add is AddWeighted with weight 1 (Moments, StreamSummary). With
+//     unit weights Σw counts the samples exactly and every FMA-split
+//     low part of w·x is zero, so the statistics read as the classic
+//     unweighted ones.
 //   - Invalid inputs are rejected and counted, never accumulated. A
 //     weight must be finite and non-negative; a NaN or negative weight
 //     would silently poison every downstream statistic exactly like a
