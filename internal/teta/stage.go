@@ -414,6 +414,9 @@ func (st *Stage) PrimeDC(inputs [][]circuit.Waveform) error {
 	return nil
 }
 
+// Primed reports whether PrimeDC has stored a DC warm start in the stage.
+func (st *Stage) Primed() bool { return st.warm != nil }
+
 // cloneRows deep-copies a per-driver vector set.
 func cloneRows(rows [][]float64) [][]float64 {
 	out := make([][]float64, len(rows))

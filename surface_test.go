@@ -38,6 +38,7 @@ var surfaceAllowlist = map[string]string{
 	"internal/mat.NewDenseData":                    "test fixtures: tests in four packages build literal matrices with it",
 	"internal/mat.Dense.IsSymmetric":               "test oracle: the symmetry check of the mat and mor tests",
 	"internal/device.CellNames":                    "test fixtures: tests in three packages range over the cell library with it",
+	"internal/teta.Stage.Primed":                   "test probe: core's stage-sharing test checks that only a chain's first stage holds a DC warm start",
 }
 
 // surfaceDecl is one exported function or method declared under internal/.
