@@ -162,8 +162,8 @@ func loadBenchmark(name string) (*iscas.Circuit, error) {
 // the chip-level statistical max.
 func printSSTA(env *Env, res *ssta.Result, budget float64) {
 	s := res.Stats
-	env.printf("ssta: %d blocks, %d distinct (%d cache hits), %d stage simulations, %v characterization\n",
-		s.Blocks, s.Distinct, s.CacheHits, s.Simulations, s.Wall.Round(1e6))
+	env.printf("ssta: %d blocks, %d distinct (%d cache hits), %d stage simulations, %d stages characterized, %v characterization\n",
+		s.Blocks, s.Distinct, s.CacheHits, s.Simulations, s.Stages, s.Wall.Round(1e6))
 	if budget > 0 {
 		env.printf("  %-12s %10s %10s %10s %8s\n", "sink", "mean", "sigma", "slack", "yield")
 	} else {

@@ -11,6 +11,9 @@
 #   2. Determinism: the same analysis at 1 worker and 4 workers must
 #      print bit-identical statistical output (only the cost-counter
 #      line may differ — worker scheduling changes nothing else).
+#   3. Shared stages: on s1423, whose blocks share most of their stages
+#      through one run-scoped stage memo, the full-precision JSON reports
+#      at 1 and 4 workers must be byte-identical.
 set -eu
 
 workdir=$(mktemp -d)
@@ -41,6 +44,14 @@ $bin $args -workers 1 | strip_wall > "$workdir/w1.out"
 $bin $args -workers 4 | strip_wall > "$workdir/w4.out"
 if ! diff -u "$workdir/w1.out" "$workdir/w4.out"; then
     echo "ssta-smoke: statistical output differs between 1 and 4 workers" >&2
+    exit 1
+fi
+# 3. The stage memo across worker counts: whichever worker builds a
+# shared stage, and whichever waits for it, the report keeps its bits.
+$bin sta -bench s1423 -ssta -workers 1 -json "$workdir/s1423.w1.json" > /dev/null
+$bin sta -bench s1423 -ssta -workers 4 -json "$workdir/s1423.w4.json" > /dev/null
+if ! cmp "$workdir/s1423.w1.json" "$workdir/s1423.w4.json"; then
+    echo "ssta-smoke: s1423 JSON report differs between 1 and 4 workers" >&2
     exit 1
 fi
 echo "ssta-smoke: OK (within 5% of brute-force MC; bit-identical across worker counts)"
