@@ -97,6 +97,7 @@ func TestDuplicateDriverTypedError(t *testing.T) {
 		name string
 		c    *Circuit
 		net  string
+		text string
 	}{
 		{
 			name: "gate output collides with primary input",
@@ -108,7 +109,8 @@ func TestDuplicateDriverTypedError(t *testing.T) {
 					{Name: "g0", Type: "NOT", Inputs: []string{"b"}, Output: "a"},
 				},
 			},
-			net: "a",
+			net:  "a",
+			text: "iscas: net a has two drivers (primary input a and gate g0)",
 		},
 		{
 			name: "gate output collides with DFF Q pin",
@@ -121,7 +123,8 @@ func TestDuplicateDriverTypedError(t *testing.T) {
 					{Name: "g0", Type: "NOT", Inputs: []string{"a"}, Output: "q"},
 				},
 			},
-			net: "q",
+			net:  "q",
+			text: "iscas: net q has two drivers (DFF ff Q pin and gate g0)",
 		},
 		{
 			name: "two gates drive one net",
@@ -134,7 +137,31 @@ func TestDuplicateDriverTypedError(t *testing.T) {
 					{Name: "g1", Type: "NOT", Inputs: []string{"a"}, Output: "z"},
 				},
 			},
-			net: "z",
+			net:  "z",
+			text: "iscas: net z has two drivers (gate g0 and gate g1)",
+		},
+		{
+			name: "primary input listed twice",
+			c: &Circuit{
+				Name:  "dup-pis",
+				PIs:   []string{"a", "a"},
+				POs:   []string{"z"},
+				Gates: []Gate{{Name: "g0", Type: "NOT", Inputs: []string{"a"}, Output: "z"}},
+			},
+			net:  "a",
+			text: "iscas: net a has two drivers (primary input a and primary input a)",
+		},
+		{
+			name: "DFF Q pin collides with primary input",
+			c: &Circuit{
+				Name:  "dup-pi-q",
+				PIs:   []string{"a"},
+				POs:   []string{"z"},
+				DFFs:  []DFF{{Name: "ff", D: "z", Q: "a"}},
+				Gates: []Gate{{Name: "g0", Type: "NOT", Inputs: []string{"a"}, Output: "z"}},
+			},
+			net:  "a",
+			text: "iscas: net a has two drivers (primary input a and DFF ff Q pin)",
 		},
 	}
 	for _, tc := range cases {
@@ -147,11 +174,14 @@ func TestDuplicateDriverTypedError(t *testing.T) {
 			if dd.Net != tc.net {
 				t.Fatalf("error names net %s, want %s", dd.Net, tc.net)
 			}
+			if err.Error() != tc.text {
+				t.Fatalf("error reads %q, want %q", err, tc.text)
+			}
 			// The high-level entry points must reject the netlist too.
 			if _, err := tc.c.LongestPath(); !errors.As(err, &dd) {
 				t.Fatalf("LongestPath: want *DuplicateDriverError, got %v", err)
 			}
-			if _, err := tc.c.TopoOrder(); !errors.As(err, &dd) {
+			if _, _, err := tc.c.TopoOrder(); !errors.As(err, &dd) {
 				t.Fatalf("TopoOrder: want *DuplicateDriverError, got %v", err)
 			}
 		})
@@ -166,7 +196,7 @@ x = NAND(a, z)
 z = NOT(x)
 `
 	c, _ := ParseBench("cyc", strings.NewReader(src))
-	if _, err := c.TopoOrder(); err == nil || !strings.Contains(err.Error(), "cycle") {
+	if _, _, err := c.TopoOrder(); err == nil || !strings.Contains(err.Error(), "cycle") {
 		t.Fatalf("want cycle error, got %v", err)
 	}
 }
@@ -187,16 +217,12 @@ func TestTimingGraphProperties(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		topo, err := c.TopoOrder()
+		topo, driver, err := c.TopoOrder()
 		if err != nil {
 			t.Fatalf("%s: %v", b.Name, err)
 		}
 		if len(topo) != len(c.Gates) {
 			t.Fatalf("%s: topo order covers %d of %d gates", b.Name, len(topo), len(c.Gates))
-		}
-		driver, err := c.Drivers()
-		if err != nil {
-			t.Fatal(err)
 		}
 		pos := make([]int, len(c.Gates))
 		for p, i := range topo {

@@ -56,29 +56,26 @@ type Graph struct {
 // Every net feeding a block from outside is therefore either a source
 // net or the output of an earlier block.
 func Partition(c *iscas.Circuit) (*Graph, error) {
-	driver, err := c.Drivers()
-	if err != nil {
-		return nil, err
-	}
-	topo, err := c.TopoOrder()
+	topo, driver, err := c.TopoOrder()
 	if err != nil {
 		return nil, err
 	}
 	isSource := c.SourceNets()
 	isSink := c.SinkNets()
 
-	// Fan-out degree of every gate output over gate input pins.
-	fanout := map[string]int{}
+	// Fan-out degree of every gate's output over gate input pins, by
+	// driving gate (TopoOrder has checked that every non-source input is
+	// driven).
+	fanout := make([]int, len(c.Gates))
 	for _, g := range c.Gates {
 		for _, in := range g.Inputs {
 			if !isSource[in] {
-				fanout[in]++
+				fanout[driver[in]]++
 			}
 		}
 	}
 	mergeable := func(gi int) bool {
-		out := c.Gates[gi].Output
-		return fanout[out] == 1 && !isSink[out]
+		return fanout[gi] == 1 && !isSink[c.Gates[gi].Output]
 	}
 
 	// Chain links: succ[g] = the gate that absorbs g (or -1). A gate
