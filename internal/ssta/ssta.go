@@ -3,11 +3,12 @@
 // Example 3) to "a chip". It partitions a tech-mapped iscas.Circuit
 // into fan-out-free blocks, characterizes each *distinct* block exactly
 // once (content-keyed: repeated cell chains share one core.BuildChain +
-// GradientAnalysis macromodel), and propagates canonical (mean,
-// sensitivity, residual) arrival-time forms topologically, applying
-// Clark's moment-matched statistical max at reconvergent fan-in — the
-// composition rules of hierarchical SSTA under process variation
-// (Li/Chen/Schlichtmann; see PAPERS.md).
+// GradientAnalysis macromodel) and each distinct stage exactly once (all
+// blocks of a run build through one core.StageMemo), and propagates
+// canonical (mean, sensitivity, residual) arrival-time forms
+// topologically, applying Clark's moment-matched statistical max at
+// reconvergent fan-in — the composition rules of hierarchical SSTA
+// under process variation (Li/Chen/Schlichtmann; see PAPERS.md).
 //
 // Validation: RunMC is the brute-force reference — it evaluates every
 // distinct block nonlinearly per sample through the engine registry and
@@ -120,7 +121,8 @@ type Result struct {
 func (r *Result) Graph() *Graph { return r.graph }
 
 // Run performs full-chip statistical STA: partition, characterize each
-// distinct block once (fanned across the runner pool), then propagate
+// distinct block and each distinct stage once (fanned across the runner
+// pool, longest block first), then propagate
 // canonical arrival forms topologically with Clark's max at reconvergent
 // fan-in. The result is deterministic and bit-identical at any worker
 // count (characterization is per-key deterministic; propagation is
